@@ -25,6 +25,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -341,15 +342,16 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def orders_with_phi_at_most(bound: int) -> list[int]:
-    """All m with euler_phi(m) <= bound, ascending.
+@functools.cache
+def orders_with_phi_at_most(bound: int) -> tuple[int, ...]:
+    """All m with euler_phi(m) <= bound, ascending; computed once per bound.
 
     phi(m) >= sqrt(m/2), so m <= 2*bound^2 is a safe enumeration cap.
     """
     if bound < 1:
-        return []
+        return ()
     cap = 2 * bound * bound
-    return [m for m in range(1, cap + 1) if euler_phi(m) <= bound]
+    return tuple(m for m in range(1, cap + 1) if euler_phi(m) <= bound)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ search did or did not find.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -120,9 +121,8 @@ def berlekamp_massey(seq: Sequence[Fraction | int]) -> Recurrence | None:
         if g > 1:
             new_c = [x // g for x in new_c]
         if 2 * l <= n:
-            l, b, last_disc, m = n + 1 - l, c, disc // g if g > 1 else disc, 1
             # the saved discrepancy must match the saved (unscaled) polynomial
-            last_disc = disc
+            l, b, last_disc, m = n + 1 - l, c, disc, 1
         else:
             m += 1
         c = new_c

@@ -9,12 +9,14 @@ ratio polynomial Res_y(p(y), p(x*y)) whose roots are all eigenvalue ratios,
 and cyclotomic divisibility tests deciding which ratios are roots of unity.
 
 Certified numeric layer: root isolation with rational centers and radii.
-Floating point (mpmath) only proposes starting points; every assertion
-(containment, disjointness, realness, modulus comparisons) is established in
-exact rational arithmetic:
+Floating point only proposes starting points: a double-precision Aberth
+iteration when every coefficient is exact in a double, escalating to mpmath at
+growing precision when the coefficients are larger or the double-precision
+starts do not certify.  Every assertion (containment, disjointness, realness,
+modulus comparisons) is established in exact rational arithmetic:
 
-* a candidate center c with |p(c)| = |lc| * prod |c - root_i| certifies a root
-  within distance (|p(c)|/|lc|)^(1/d) of c;
+* a candidate center c with p'(c) != 0 certifies a root within the Newton
+  inclusion radius d*|p(c)|/|p'(c)| of c, because p'/p = sum 1/(c - root_i);
 * real roots come from Sturm bisection with integer sign evaluation;
 * n pairwise disjoint disks, each certified to contain at least one root of a
   squarefree degree-n polynomial, contain exactly one root each.
@@ -24,11 +26,13 @@ a squarefree integer polynomial is a nonzero integer) bounds the refinement
 depth at which disjointness must succeed, so isolation always terminates.
 Decision loops (modulus matching, ratio attribution) additionally honour a
 configurable refinement cap, default radius 2^-256, beyond which they raise
-UnresolvedCertification rather than guess.
+UnresolvedCertification rather than guess; so does isolation when neither
+proposer yields starts that certify.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +44,6 @@ from .exact import (
     char_poly,
     cyclotomic,
     det,
-    euler_phi,
     orders_with_phi_at_most,
     poly_gcd,
     resultant_in_y,
@@ -56,6 +59,7 @@ UNRESOLVED = "UNRESOLVED"
 
 _ZERO = Fraction(0)
 _DEFAULT_EPS_BITS = 64
+_ABERTH_STEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +331,14 @@ class _RealHandle:
 class _ComplexHandle:
     """Upper half-plane root candidate refined by exact Newton steps.
 
-    The certified radius comes from the residual: a root lies within
-    (|p(c)|/|lc|)^(1/d) of c.  A vanishing residual means c is the root.
+    The certified radius is the Newton inclusion radius d*|p(c)|/|p'(c)|:
+    p'(c)/p(c) = sum_i 1/(c - root_i) has modulus at most d / min_i |c - root_i|,
+    so some root lies within d*|p(c)|/|p'(c)| of c.  A vanishing residual
+    means c is the root.
     """
 
-    __slots__ = ("poly", "deriv", "c", "bits", "rad", "is_exact", "multiplicity", "_stuck")
+    __slots__ = ("poly", "deriv", "c", "pc", "dpc", "bits", "rad", "is_exact",
+                 "multiplicity", "_stuck")
     is_real = False
 
     def __init__(self, poly: IntPoly, start: tuple[Fraction, Fraction], bits: int,
@@ -353,22 +360,30 @@ class _ComplexHandle:
         return self.rad if self.rad is not None else Fraction(1)
 
     def _update_radius(self) -> None:
-        d = self.poly.degree
-        v = _c_abs2(_poly_eval_complex(self.poly, self.c))
+        """Evaluate p and p' at c (kept for the next Newton step) and set the
+        radius to the least 2^-e, e >= 1, with d^2 |p(c)|^2 <= 2^-2e |p'(c)|^2."""
+        self.pc = _poly_eval_complex(self.poly, self.c)
+        self.dpc = _poly_eval_complex(self.deriv, self.c)
+        v = _c_abs2(self.pc)
         if v == 0:
             self.is_exact = True
             if self.rad is None:
                 self.rad = Fraction(1, 1 << self.bits)
             return
-        t = v / (self.poly.lc * self.poly.lc)
-        # smallest e >= 1 with t <= 2^(-2 d e): certified radius 2^-e
-        e = max(1, _frac_bits(t) // (2 * d) - 1)
-        if t <= Fraction(1, 1 << (2 * d * e)):
-            while t <= Fraction(1, 1 << (2 * d * (e + 1))):
-                e += 1
-            self.rad = Fraction(1, 1 << e)
-        else:
-            self.rad = None  # residual too large to certify anything useful
+        w = _c_abs2(self.dpc)
+        if w == 0:
+            self.rad = None
+            return
+        d = self.poly.degree
+        t = d * d * v / w
+        num, den = t.numerator, t.denominator
+        e = max(0, (den.bit_length() - num.bit_length()) // 2)
+        while e > 0 and num << (2 * e) > den:
+            e -= 1
+        while num << (2 * e + 2) <= den:
+            e += 1
+        # e >= 1: a radius above 1/2 certifies nothing useful
+        self.rad = Fraction(1, 1 << e) if e >= 1 else None
 
     def shrink(self) -> None:
         if self.is_exact:
@@ -376,13 +391,11 @@ class _ComplexHandle:
             return
         old = self.rad
         self.bits = min(self.bits * 2, self.bits + (1 << 14))
-        pc = _poly_eval_complex(self.poly, self.c)
-        dpc = _poly_eval_complex(self.deriv, self.c)
-        if dpc == (_ZERO, _ZERO):
+        if self.dpc == (_ZERO, _ZERO):
             nudge = Fraction(1, 1 << self.bits)
             self.c = (self.c[0] + nudge, self.c[1])
         else:
-            step = _c_div(pc, dpc)
+            step = _c_div(self.pc, self.dpc)
             nxt = _c_sub(self.c, step)
             self.c = (_dyadic(nxt[0], self.bits), _dyadic(nxt[1], self.bits))
         self._update_radius()
@@ -446,6 +459,62 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def _aberth_starts(p: IntPoly, npairs: int):
+    """Upper half-plane starting points from a double-precision Aberth
+    iteration, or None (escalate to mpmath).
+
+    Only tried when every coefficient is exact in a double.  The result must
+    look clean in floating point: the error estimates (Newton inclusion radius
+    plus a Horner rounding bound) of any two approximations sum to less than a
+    quarter of their distance, and exactly npairs approximations lie above the
+    real axis, and npairs below it, by more than their error estimate.
+    """
+    if any(abs(c) >= 1 << 53 for c in p.coeffs):
+        return None
+    d = p.degree
+    a = [float(c) for c in reversed(p.coeffs)]  # descending powers
+
+    def horner(z):
+        pv = dv = 0j
+        for c in a:
+            dv = dv * z + pv
+            pv = pv * z + c
+        return pv, dv
+
+    rho = abs(a[-1] / a[0]) ** (1.0 / d) if a[-1] else 1.0
+    z = [rho * cmath.exp(1j * (2 * math.pi * i / d + 0.4)) for i in range(d)]
+    try:
+        for _ in range(_ABERTH_STEPS):
+            moved = False
+            for i, zi in enumerate(z):
+                pv, dv = horner(zi)
+                if pv == 0:
+                    continue
+                w = 1 / (dv / pv - sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
+                z[i] = zi - w
+                moved = moved or abs(w) > 2.0 ** -50 * abs(zi)
+            if not moved:
+                break
+        err = []
+        for zi in z:
+            pv, dv = horner(zi)
+            scale = 0.0
+            for c in a:
+                scale = scale * abs(zi) + abs(c)
+            err.append(d * (abs(pv) + d * 2.0 ** -50 * scale) / abs(dv))
+    except (ZeroDivisionError, OverflowError):
+        return None
+    for i in range(d):
+        for j in range(i + 1, d):
+            if not abs(z[i] - z[j]) > 4 * (err[i] + err[j]):  # also rejects nan
+                return None
+    ups = [zi for zi, e in zip(z, err) if zi.imag > e]
+    downs = [zi for zi, e in zip(z, err) if zi.imag < -e]
+    if len(ups) != npairs or len(downs) != npairs:
+        return None
+    return [(Fraction(zi.real), Fraction(zi.imag)) for zi in ups]
+
+
 def _complex_starts(p: IntPoly, npairs: int, dps: int):
     """Upper half-plane starting points from mpmath, or None to retry."""
     import mpmath
@@ -477,6 +546,22 @@ def _refine_budget(p: IntPoly, eps: Fraction) -> int:
     return _separation_bits(p) + _frac_bits(eps) + 96
 
 
+def _proposals(p: IntPoly, npairs: int):
+    """Upper half-plane starting points, each with the dyadic precision of its
+    handles: double-precision Aberth first, then mpmath at growing precision
+    (the escalation path; mpmath is imported only when it is reached)."""
+    starts = _aberth_starts(p, npairs)
+    if starts is not None:
+        yield starts, 64
+    coeff_bits = max(abs(c).bit_length() for c in p.coeffs)
+    dps = max(30, coeff_bits // 3 + 15)
+    for _ in range(7):
+        starts = _complex_starts(p, npairs, dps)
+        if starts is not None:
+            yield starts, max(64, 2 * dps)
+        dps *= 2
+
+
 def _isolate_handles(p: IntPoly, eps: Fraction, multiplicity: int = 1) -> list:
     """Certified handles for all roots of a squarefree polynomial."""
     d = p.degree
@@ -487,22 +572,15 @@ def _isolate_handles(p: IntPoly, eps: Fraction, multiplicity: int = 1) -> list:
     if npairs == 0:
         handles = list(reals)
         if not _certify_layout(handles, eps, _refine_budget(p, eps)):
-            raise ArithmeticError("real isolation failed to separate")
+            raise UnresolvedCertification("real isolation failed to separate")
         return handles
-    coeff_bits = max(abs(c).bit_length() for c in p.coeffs)
-    dps = max(30, coeff_bits // 3 + 15)
-    for _ in range(7):
-        starts = _complex_starts(p, npairs, dps)
-        if starts is not None:
-            handles = list(reals) + [
-                _ComplexHandle(p, s, max(64, 2 * dps), multiplicity) for s in starts
-            ]
-            if _certify_layout(handles, eps, _refine_budget(p, eps)):
-                return handles
-            # fresh complex starts get fresh real handles
-            reals = [_RealHandle(rec, eps, multiplicity) for rec in _isolate_real_roots(p)]
-        dps *= 2
-    raise ArithmeticError("complex root isolation did not converge")
+    for starts, bits in _proposals(p, npairs):
+        handles = list(reals) + [_ComplexHandle(p, s, bits, multiplicity) for s in starts]
+        if _certify_layout(handles, eps, _refine_budget(p, eps)):
+            return handles
+        # fresh complex starts get fresh real handles
+        reals = [_RealHandle(rec, eps, multiplicity) for rec in _isolate_real_roots(p)]
+    raise UnresolvedCertification("complex root isolation did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +753,7 @@ def _pin_real_signs(handles: list, cap_rounds: int) -> None:
                 break
             h.shrink()
         else:
-            raise ArithmeticError("could not certify the sign of a real root")
+            raise UnresolvedCertification("could not certify the sign of a real root")
 
 
 def _match_moduli(handles: list, q_sf: IntPoly, cap_bits: int) -> list[_RealRoot]:
@@ -826,13 +904,10 @@ def ratio_polynomial(p: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 
 def _orders_from_reduced(reduced: IntPoly, k: int) -> list[int]:
-    out = []
-    for m in orders_with_phi_at_most(k * k):
-        if euler_phi(m) > reduced.degree:
-            continue
-        if cyclotomic(m).divides(reduced):
-            out.append(m)
-    return out
+    return [
+        m for m in orders_with_phi_at_most(min(k * k, reduced.degree))
+        if cyclotomic(m).divides(reduced)
+    ]
 
 
 def unity_ratio_orders(p: IntPoly) -> list[int]:
@@ -940,7 +1015,7 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
     for factor, mult in factors:
         handles.extend(_isolate_handles(factor, eps, multiplicity=mult))
     if not _certify_layout(handles, eps, _refine_budget(sf, eps)):
-        raise ArithmeticError("cross-factor isolation failed to separate")
+        raise UnresolvedCertification("cross-factor isolation failed to separate")
     ordered = _order_handles(handles)
     classes = _expand_classes(
         _partition_by_modulus(ordered, sf, precision_bits), ordered

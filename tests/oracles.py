@@ -7,7 +7,9 @@ These deliberately avoid the production code paths they check:
 * sylvester_resultant_in_y expands the Sylvester matrix and eliminates it
   fraction-free instead of running a remainder sequence;
 * hankel_min_order recovers the minimal annihilator order from exact Hankel
-  ranks instead of Berlekamp-Massey.
+  ranks instead of Berlekamp-Massey;
+* polyroots_oracle approximates every complex root to 100 digits with
+  mpmath instead of certifying isolating boxes.
 """
 
 from __future__ import annotations
@@ -126,6 +128,23 @@ def _rank_fraction(rows: list[list[Fraction]]) -> int:
         if rank == n_rows:
             break
     return rank
+
+
+def polyroots_oracle(p: IntPoly, dps: int = 100) -> list[tuple[Fraction, Fraction]]:
+    """All complex roots of p as exact (re, im) values of dps-digit
+    approximations."""
+    import mpmath
+
+    def exact(x) -> Fraction:
+        man, exp = x.man_exp  # man is unsigned
+        v = Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
+        return -v if x < 0 else v
+
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots(
+            [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=4 * dps
+        )
+        return [(exact(mpmath.re(z)), exact(mpmath.im(z))) for z in roots]
 
 
 def random_matrix(rng: random.Random, k: int, lo: int, hi: int) -> IntMatrix:

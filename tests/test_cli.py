@@ -159,6 +159,15 @@ class TestStrictMode:
         code, _ = run_cli(["analyze", "-m", "[[0,1],[1,1]]"])
         assert code == EXIT_OK  # without --strict the report still renders
 
+    def test_isolation_failure_exit_code(self, monkeypatch):
+        import monodeg.spectra as spectra_mod
+
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p, npairs: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, npairs, dps: None)
+        code, out = run_cli(["verdict", "-m", "[[1,-2],[1,1]]", "--strict"])
+        assert code == 4
+        assert "UNKNOWN" in out
+
 
 class TestCellsCommand:
     def test_quarter_rotation(self):

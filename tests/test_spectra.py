@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import monodeg
+from monodeg import spectra
 from monodeg.errors import RankDeficient
 from monodeg.exact import IntMatrix, IntPoly, char_poly, cyclotomic, det, poly_gcd
 from monodeg.spectra import (
@@ -20,7 +26,7 @@ from monodeg.spectra import (
 )
 
 from conftest import NO_RECURRENCE_3X3, PAIR_2X2, QUARTER_ROTATION
-from oracles import random_rank_matrix
+from oracles import polyroots_oracle, random_rank_matrix
 
 HP_CHAR = IntPoly((-1, 1, 1, 1))  # t^3 + t^2 + t - 1
 TRIB_CHAR = IntPoly((-1, -1, -1, 1))  # t^3 - t^2 - t - 1
@@ -137,6 +143,77 @@ class TestIsolateRoots:
                 dy = coarse.center[1] - fine.center[1]
                 rr = coarse.radius + fine.radius
                 assert dx * dx + dy * dy <= rr * rr
+
+
+def _assert_isolates(p, boxes):
+    """Each box holds exactly one root of the 100-digit oracle, and the boxes
+    (conjugate mirrors included) are pairwise disjoint."""
+    assert len(boxes) == p.degree
+    roots = polyroots_oracle(p)
+    for b in boxes:
+        inside = [
+            (x, y) for x, y in roots
+            if (x - b.center[0]) ** 2 + (y - b.center[1]) ** 2 <= b.radius ** 2
+        ]
+        assert len(inside) == 1
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            dx = boxes[i].center[0] - boxes[j].center[0]
+            dy = boxes[i].center[1] - boxes[j].center[1]
+            s = boxes[i].radius + boxes[j].radius
+            assert dx * dx + dy * dy > s * s
+
+
+class TestProposers:
+    def test_large_coefficient_escalates_to_mpmath(self, monkeypatch):
+        calls = []
+        mp_starts = spectra._complex_starts
+
+        def spy(p, npairs, dps):
+            calls.append(dps)
+            return mp_starts(p, npairs, dps)
+
+        monkeypatch.setattr(spectra, "_complex_starts", spy)
+        for p in (IntPoly((2**60 + 1, 1, 1)), IntPoly((1, 2**53, 0, 1))):
+            assert spectra._aberth_starts(p, 1) is None
+            calls.clear()
+            _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
+            assert calls
+
+    def test_boxes_match_oracle_on_random_squarefree(self):
+        rng = random.Random(2007)
+        seen = 0
+        while seen < 40:
+            d = rng.randint(1, 12)
+            bound = rng.choice([3, 1000, 2**60])
+            coeffs = [rng.randint(-bound, bound) for _ in range(d)] + [rng.randint(1, bound)]
+            p = IntPoly(tuple(coeffs))
+            if poly_gcd(p, p.derivative()).degree > 0:
+                continue
+            seen += 1
+            _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
+
+    def test_no_proposer_is_unresolved(self, monkeypatch):
+        from monodeg.errors import UnresolvedCertification
+
+        monkeypatch.setattr(spectra, "_aberth_starts", lambda p, npairs: None)
+        monkeypatch.setattr(spectra, "_complex_starts", lambda p, npairs, dps: None)
+        with pytest.raises(UnresolvedCertification):
+            isolate_roots(IntPoly((1, 0, 1)), Fraction(1, 2**32))
+
+    def test_common_path_does_not_import_mpmath(self):
+        src = Path(monodeg.__file__).resolve().parent.parent
+        code = (
+            "import sys, monodeg\n"
+            "v = monodeg.classify_d1(monodeg.IntMatrix(((4, -7), (3, -5))))\n"
+            "print(v.classification, 'mpmath' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert out.stdout.split() == ["RECURRENCE_PROVEN", "False"]
 
 
 class TestModulusClasses:

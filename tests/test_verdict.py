@@ -101,6 +101,16 @@ class TestClassifyD1:
         assert "unresolved" in v.details
 
 
+    def test_isolation_failure_becomes_unknown(self, monkeypatch):
+        import monodeg.spectra as spectra_mod
+
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p, npairs: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, npairs, dps: None)
+        v = classify_d1(PAIR_2X2)
+        assert v.classification == UNKNOWN
+        assert "did not converge" in v.details["unresolved"]
+
+
 class TestClassifyDual:
     def test_no_recurrence_matrix_dual_proves_recurrence(self):
         v = classify_dual(NO_RECURRENCE_3X3)
