@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .degree import FunctionalIndex, canonical_cell
+from .degree import FunctionalIndex, cell_and_degree
 from .errors import RankDeficient
 from .exact import IntMatrix, det, mat_mul
 from .recur import eventually_periodic
@@ -40,6 +40,7 @@ class TraceStatus:
 class CellTrace:
     source: IntMatrix
     window: int
+    degrees: tuple[int, ...]  # D(A^n) for n = 1..window
     representatives: tuple[FunctionalIndex, ...]
     tie_counts: tuple[int, ...]
     switch_indices: tuple[int, ...]
@@ -70,16 +71,19 @@ def detect_stabilization(reps: Sequence[FunctionalIndex]) -> TraceStatus:
 
 
 def cell_trace(a: IntMatrix, window: int) -> CellTrace:
-    """Achieving-cell data for A^1 .. A^window plus a tail classification."""
+    """Degrees and achieving-cell data for A^1 .. A^window plus a tail
+    classification, from one pass over the powers."""
     if window < 2:
         raise ValueError("window must be at least 2")
     if det(a) == 0:
         raise RankDeficient("cell traces need a matrix of full rank")
+    degrees: list[int] = []
     reps: list[FunctionalIndex] = []
     ties: list[int] = []
     power = a
     for _ in range(window):
-        rep, tie = canonical_cell(power)
+        rep, tie, d = cell_and_degree(power)
+        degrees.append(d)
         reps.append(rep)
         ties.append(tie)
         power = mat_mul(power, a)
@@ -89,6 +93,7 @@ def cell_trace(a: IntMatrix, window: int) -> CellTrace:
     return CellTrace(
         source=a,
         window=window,
+        degrees=tuple(degrees),
         representatives=tuple(reps),
         tie_counts=tuple(ties),
         switch_indices=switches,

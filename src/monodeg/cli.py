@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .exact import IntMatrix, char_poly, det
 from .recur import Recurrence, find_recurrence
-from .spectra import SpectralSummary, UNRESOLVED, spectral_summary
+from .spectra import SpectralSummary
 from .verdict import Verdict, classify_d1, classify_dual, cross_check
 
 EXIT_OK = 0
@@ -214,9 +213,7 @@ def _sequence_terms(a: IntMatrix, n: int) -> list[int]:
     return list(degree_sequence(a, n).terms)
 
 
-def _unresolved_in(summary: SpectralSummary | None, *verdicts: Verdict | None) -> bool:
-    if summary is not None and any(f.kind == UNRESOLVED for f in summary.ratio_flags):
-        return True
+def _unresolved_in(*verdicts: Verdict | None) -> bool:
     for v in verdicts:
         if v is None:
             continue
@@ -288,7 +285,7 @@ def _cmd_verdict(a: IntMatrix, args, out) -> int:
                       + (f" (basis {dual.basis})" if dual.basis else "") + "\n")
         else:
             out.write("dual verdict: not unimodular, undefined\n")
-    if args.strict and _unresolved_in(None, d1, dual):
+    if args.strict and _unresolved_in(d1, dual):
         return EXIT_UNRESOLVED
     return EXIT_OK
 
@@ -314,38 +311,24 @@ def _cmd_analyze(a: IntMatrix, args, out) -> int:
     bits = args.precision
     max_order, guard = _bounds(a, args)
     seq_len = max(args.terms, 2 * max_order + guard)
-    unimodular = det(a) in (1, -1)
-
-    def task_summary() -> SpectralSummary | str:
-        try:
-            return spectral_summary(a, bits)
-        except UnresolvedCertification as exc:
-            return f"unresolved: {exc}"
-
-    def task_check():
-        return cross_check(a, seq_len, max_order, bits)
-
-    def task_dual():
-        return classify_dual(a, bits) if unimodular else None
-
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            f1, f2, f3 = pool.submit(task_summary), pool.submit(task_check), pool.submit(task_dual)
-            summary, report, dual = f1.result(), f2.result(), f3.result()
+    report = cross_check(a, seq_len, max_order, bits, guard)
+    d1 = report.verdict
+    d = det(a)
+    dual = classify_dual(a, bits) if d in (1, -1) else None
+    if d1.summary is None:
+        spectrum = {"unresolved": f"unresolved: {d1.details['unresolved']}"}
     else:
-        summary, report, dual = task_summary(), task_check(), task_dual()
-
-    unresolved_summary = isinstance(summary, str)
+        spectrum = _spectrum_payload(d1.summary)
     payload = {
         "input": [list(r) for r in a.rows],
-        "det": det(a),
+        "det": d,
         "char_poly": list(char_poly(a).coeffs),
-        "spectrum": {"unresolved": summary} if unresolved_summary else _spectrum_payload(summary),
+        "spectrum": spectrum,
         "sequence": list(report.sequence.terms[: args.terms]),
         "recurrence": _recurrence_payload(report.recurrence),
         "search_bounds": report.bounds,
         "verdicts": {
-            "d1": _verdict_payload(report.verdict),
+            "d1": _verdict_payload(d1),
             "dual": _verdict_payload(dual) if dual else None,
         },
         "cells": _trace_payload(report.trace),
@@ -360,10 +343,7 @@ def _cmd_analyze(a: IntMatrix, args, out) -> int:
         _render_analysis_text(payload, out)
     if report.status != "CONSISTENT":
         return EXIT_INCONSISTENT
-    if args.strict and (
-        unresolved_summary
-        or _unresolved_in(None if unresolved_summary else summary, report.verdict, dual)
-    ):
+    if args.strict and _unresolved_in(d1, dual):
         return EXIT_UNRESOLVED
     return EXIT_OK
 
@@ -463,8 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=fmts, default="text")
         p.add_argument("--strict", action="store_true",
                        help="exit 4 when a certification stayed unresolved")
-        p.add_argument("--parallel", action="store_true",
-                       help="run independent sub-analyses concurrently")
     return parser
 
 

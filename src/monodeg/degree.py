@@ -102,18 +102,21 @@ def degree(a: IntMatrix) -> int:
     return row_part + col_part
 
 
-def _argmax_sets(a: IntMatrix) -> list[list[int]]:
-    """Per-max argmax choice sets: index 0 for the row-sum max, then one per
-    column.  Choice 0 is the constant-0 branch."""
+def _argmax_sets(a: IntMatrix) -> tuple[int, list[list[int]]]:
+    """D(a), the sum of the per-max maxima, and the per-max argmax choice
+    sets: index 0 for the row-sum max, then one per column.  Choice 0 is the
+    constant-0 branch."""
     sets: list[list[int]] = []
     sums = a.row_sums()
     best = max(0, *sums)
+    total = best
     sets.append([c for c, v in enumerate([0, *sums]) if v == best])
     for j in range(a.k):
         vals = [0] + [-a.rows[i][j] for i in range(a.k)]
         best = max(vals)
+        total += best
         sets.append([c for c, v in enumerate(vals) if v == best])
-    return sets
+    return total, sets
 
 
 def achieving_cells(a: IntMatrix) -> set[FunctionalIndex]:
@@ -123,7 +126,7 @@ def achieving_cells(a: IntMatrix) -> set[FunctionalIndex]:
     """
     if a.is_zero:
         raise ValueError("achieving cells of the zero matrix are not defined")
-    return {FunctionalIndex(c) for c in product(*_argmax_sets(a))}
+    return {FunctionalIndex(c) for c in product(*_argmax_sets(a)[1])}
 
 
 def canonical_cell(a: IntMatrix) -> tuple[FunctionalIndex, int]:
@@ -132,13 +135,19 @@ def canonical_cell(a: IntMatrix) -> tuple[FunctionalIndex, int]:
     Tie-breaking on cell boundaries is a convention of this artifact; the tie
     count preserves visibility of boundary hits.
     """
+    rep, count, _ = cell_and_degree(a)
+    return rep, count
+
+
+def cell_and_degree(a: IntMatrix) -> tuple[FunctionalIndex, int, int]:
+    """``canonical_cell(a)`` plus D(a), all from one pass over the maxima."""
     if a.is_zero:
         raise ValueError("achieving cells of the zero matrix are not defined")
-    sets = _argmax_sets(a)
+    total, sets = _argmax_sets(a)
     count = 1
     for s in sets:
         count *= len(s)
-    return FunctionalIndex(tuple(s[0] for s in sets)), count
+    return FunctionalIndex(tuple(s[0] for s in sets)), count, total
 
 
 def degree_sequence(a: IntMatrix, n: int) -> DegreeSequence:
@@ -176,6 +185,7 @@ __all__ = [
     "degree",
     "achieving_cells",
     "canonical_cell",
+    "cell_and_degree",
     "degree_sequence",
     "dual_degree_sequence",
     "NotUnimodular",

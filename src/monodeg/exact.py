@@ -66,6 +66,9 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def lc(self) -> int:
         """Leading coefficient (0 for the zero polynomial)."""
@@ -217,15 +220,6 @@ class IntPoly:
         except ArithmeticError:
             return False
 
-    def scale_arg(self, c: int) -> IntPoly:
-        """p(c*x)."""
-        out = []
-        f = 1
-        for coef in self.coeffs:
-            out.append(coef * f)
-            f *= c
-        return IntPoly(out)
-
     def __str__(self) -> str:
         return self.format()
 
@@ -256,27 +250,29 @@ def poly_from_roots(roots: Iterable[int]) -> IntPoly:
     return p
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Strict pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b.
+def _pseudo_rem(a: Sequence, b: Sequence) -> list:
+    """Strict pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b.
 
-    The full power of lc(b) is applied even when intermediate leading
-    coefficients vanish; the subresultant divisions below rely on that.
+    Coefficient lists run ascending with no trailing zeros; entries are ints
+    (univariate) or IntPolys (polynomials in y over Z[x]).  The full power of
+    lc(b) is applied even when intermediate leading coefficients vanish; the
+    subresultant divisions below rely on that.  Needs deg a >= deg b.
     """
-    da, db = a.degree, b.degree
+    da, db = len(a) - 1, len(b) - 1
     if db < 0:
         raise ZeroDivisionError("pseudo-remainder by zero polynomial")
     if da < db:
-        return a.scale(b.lc ** (da - db + 1)) if da >= 0 else a
-    lb = b.lc
-    rem = list(a.coeffs)
+        raise ValueError("pseudo-remainder needs deg a >= deg b")
+    lb = b[-1]
+    rem = list(a)
     for i in range(da - db, -1, -1):
         lead = rem[i + db]
         rem = [lb * c for c in rem]
         if lead:
-            for j, bc in enumerate(b.coeffs):
+            for j, bc in enumerate(b):
                 rem[i + j] -= lead * bc
         rem = rem[: i + db]
-    return IntPoly(rem)
+    return rem
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -293,7 +289,7 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
-        r = _pseudo_rem(a, b).primitive()
+        r = IntPoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
         a, b = b, r
     if a.degree == 0:
         return IntPoly((1,))
@@ -368,21 +364,6 @@ def _strip_y(f: PolyInY) -> list[IntPoly]:
     return out
 
 
-def _prem_y(a: list[IntPoly], b: list[IntPoly]) -> list[IntPoly]:
-    """Strict pseudo-remainder in y over Z[x] (same convention as _pseudo_rem)."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
-    rem = list(a)
-    for i in range(da - db, -1, -1):
-        lead = rem[i + db]
-        rem = [lb * c for c in rem]
-        if not lead.is_zero:
-            for j, bc in enumerate(b):
-                rem[i + j] = rem[i + j] - lead * bc
-        rem = rem[: i + db]
-    return rem
-
-
 def resultant_in_y(f: PolyInY, g: PolyInY) -> IntPoly:
     """Resultant with respect to y of two polynomials with IntPoly coefficients.
 
@@ -414,7 +395,7 @@ def resultant_in_y(f: PolyInY, g: PolyInY) -> IntPoly:
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        r = _strip_y(_prem_y(a, b))
+        r = _strip_y(_pseudo_rem(a, b))
         if not r:
             # db > 0 here, so a common factor of positive degree exists
             return IntPoly()
@@ -436,14 +417,6 @@ def resultant_in_y(f: PolyInY, g: PolyInY) -> IntPoly:
             else:
                 res = lb.pow(dA).exact_div(h.pow(dA - 1))
             return res.scale(sign) if sign < 0 else res
-
-
-def resultant(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Resultant of two univariate integer polynomials (returned as a constant
-    IntPoly for uniformity with resultant_in_y)."""
-    return resultant_in_y(
-        [IntPoly((c,)) for c in f.coeffs], [IntPoly((c,)) for c in g.coeffs]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +463,6 @@ class IntMatrix:
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(tuple(zip(*self.rows)))
 
     def add(self, other: IntMatrix) -> IntMatrix:
         if self.k != other.k:

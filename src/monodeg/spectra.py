@@ -41,6 +41,7 @@ from .errors import RankDeficient, UnresolvedCertification
 from .exact import (
     IntMatrix,
     IntPoly,
+    _pseudo_rem,
     char_poly,
     cyclotomic,
     det,
@@ -167,7 +168,7 @@ def _sturm_chain(p: IntPoly) -> list[IntPoly]:
     chain.append(dp)
     while chain[-1].degree > 0:
         a, b = chain[-2], chain[-1]
-        r = _strict_prem(a, b)
+        r = IntPoly(_pseudo_rem(a.coeffs, b.coeffs))
         if b.lc < 0 and (a.degree - b.degree + 1) % 2 == 1:
             r = -r
         r = (-r).primitive()
@@ -175,21 +176,6 @@ def _sturm_chain(p: IntPoly) -> list[IntPoly]:
             break
         chain.append(r)
     return chain
-
-
-def _strict_prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """lc(b)^(deg a - deg b + 1) * a mod b, with the full multiplier applied."""
-    da, db = a.degree, b.degree
-    lb = b.lc
-    rem = list(a.coeffs)
-    for i in range(da - db, -1, -1):
-        lead = rem[i + db]
-        rem = [lb * c for c in rem]
-        if lead:
-            for j, bc in enumerate(b.coeffs):
-                rem[i + j] -= lead * bc
-        rem = rem[: i + db]
-    return IntPoly(rem)
 
 
 def _variations(chain: list[IntPoly], x: Fraction) -> int:

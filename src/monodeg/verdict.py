@@ -21,12 +21,12 @@ DUALITY_GENERIC.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import cells as cells_mod
 from .cells import CellTrace, cell_trace
-from .degree import DegreeSequence, degree_sequence
+from .degree import DegreeSequence
 from .errors import RankDeficient, UnresolvedCertification, WindowTooShort
 from .exact import IntMatrix, IntPoly, char_poly, det, inverse_unimodular, mat_pow
 from .recur import Recurrence, check_candidate, find_recurrence
@@ -56,12 +56,18 @@ INCONSISTENT = "INCONSISTENT"
 
 @dataclass(frozen=True)
 class Verdict:
-    """Classification with the criterion code and the spectral facts used."""
+    """Classification with the criterion code and the spectral facts used.
+
+    ``summary`` is the spectral analysis a forward classification ran on
+    (None when it stayed unresolved, and on dual verdicts); it takes no part
+    in comparison or repr.
+    """
 
     classification: str
     basis: str | None
     details: dict[str, Any] = field(default_factory=dict)
     recurrence: Recurrence | None = None
+    summary: SpectralSummary | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_unknown(self) -> bool:
@@ -128,11 +134,13 @@ def classify_d1(a: IntMatrix, precision_bits: int = 256) -> Verdict:
     """Provable classification of the forward degree sequence."""
     if det(a) == 0:
         raise RankDeficient("classification needs a matrix of full rank")
+    summary = None
     try:
         summary = spectral_summary(a, precision_bits)
-        return _classify_from_summary(a, summary)
+        verdict = _classify_from_summary(a, summary)
     except UnresolvedCertification as exc:
-        return Verdict(UNKNOWN, None, {"unresolved": str(exc)})
+        verdict = Verdict(UNKNOWN, None, {"unresolved": str(exc)})
+    return replace(verdict, summary=summary)
 
 
 def _classify_from_summary(a: IntMatrix, summary: SpectralSummary) -> Verdict:
@@ -254,49 +262,49 @@ def cross_check(
     window: int,
     max_order: int,
     precision_bits: int = 256,
+    guard: int | None = None,
 ) -> CrossCheckReport:
     """Empirical validation of the theorem engine on one matrix.
 
-    A proven recurrence must actually verify on the computed sequence (the
-    characteristic polynomial itself for THM_2_7_CHARPOLY); a proven
-    non-recurrence must leave the bounded search empty-handed and the cell
-    trace unstabilized (a stabilized trace is retried on a doubled window
-    before being reported as a conflict).
+    One pass over A^1 .. A^window yields both the degree sequence and the
+    cell trace.  The bounded recurrence search fits candidates of order at
+    most ``max_order`` and verifies each exactly on a tail of ``guard``
+    further terms; ``guard`` is honoured as given (None means 4*max_order)
+    and WindowTooShort is raised when window < 2*max_order + guard.
+
+    A proven recurrence must actually verify on the computed sequence: the
+    characteristic polynomial itself for THM_2_7_CHARPOLY, otherwise the
+    search's find or the attached recurrence.  A proven non-recurrence must
+    leave the search empty-handed and the cell trace unstabilized.  A
+    verification that fails, or a trace that stabilized, is retried once on
+    a doubled window (one more pass yielding degrees and cells, since
+    transients can outlast the window) before being reported as a conflict.
     """
-    verdict = classify_d1(a, precision_bits)
-    seq = degree_sequence(a, window)
-    guard = max(1, min(4 * max_order, window - 3 * max_order))
+    if guard is None:
+        guard = 4 * max_order
     if window < 2 * max_order + guard:
-        guard = window - 2 * max_order
-    if guard < 1:
         raise WindowTooShort(
-            f"window {window} cannot accommodate max_order {max_order} with a guard"
+            f"window {window} cannot accommodate max_order {max_order} "
+            f"with guard {guard}"
         )
-    found = find_recurrence(seq.terms, max_order, guard)
+    verdict = classify_d1(a, precision_bits)
     trace = cell_trace(a, window)
+    seq = DegreeSequence(trace.degrees, a)
+    found = find_recurrence(seq.terms, max_order, guard)
     bounds = {"window": window, "max_order": max_order, "guard": guard}
 
     conflicts: list[str] = []
     if verdict.classification == RECURRENCE_PROVEN:
-        verified = found is not None
-        attached_offset = None
-        if verdict.basis == THM_2_7_CHARPOLY:
-            attached_offset = check_candidate(seq.terms, char_poly(a))
-            if attached_offset is None:
+        charpoly_basis = verdict.basis == THM_2_7_CHARPOLY
+        if found is None or charpoly_basis:
+            p = verdict.recurrence.char_poly()
+            if not (_holds(seq.terms, p)
+                    or _holds(cell_trace(a, 2 * window).degrees, p)):
                 conflicts.append(
                     "characteristic polynomial recurrence failed exact verification"
+                    if charpoly_basis
+                    else "proven recurrence but no candidate verified within bounds"
                 )
-            else:
-                verified = True
-        elif not verified and verdict.recurrence is not None:
-            if verdict.recurrence.order + 2 <= len(seq.terms):
-                p = verdict.recurrence.char_poly()
-                if p is not None and check_candidate(seq.terms, p) is not None:
-                    verified = True
-        if not verified:
-            conflicts.append(
-                "proven recurrence but no candidate verified within bounds"
-            )
     elif verdict.classification == NO_RECURRENCE_PROVEN:
         if found is not None:
             conflicts.append(
@@ -319,6 +327,11 @@ def cross_check(
         conflicts=tuple(conflicts),
         bounds=bounds,
     )
+
+
+def _holds(terms: tuple[int, ...], p: IntPoly) -> bool:
+    """The monic integer recurrence p verifies exactly on terms."""
+    return p.degree + 2 <= len(terms) and check_candidate(terms, p) is not None
 
 
 __all__ = [

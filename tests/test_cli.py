@@ -138,21 +138,70 @@ class TestAnalyzeCommand:
         assert seq_line in text
         assert f"d1 verdict: {payload['verdicts']['d1']['classification']}" in text
 
-    def test_parallel_matches_sequential(self):
-        _, a = run_cli(["analyze", "-m", INVERSE, "--format", "json"])
-        _, b = run_cli(["analyze", "-m", INVERSE, "--format", "json", "--parallel"])
-        assert a == b
+    def test_parallel_flag_removed(self):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["analyze", "-m", INVERSE, "--parallel"])
+        assert err.value.code == 2
+
+    def test_one_forward_spectrum_and_power_pass(self, monkeypatch):
+        # the report's spectrum is the one classify_d1 computed, the dual
+        # verdict needs the inverse's, and the degrees come from the cell trace
+        import sys
+
+        import monodeg.spectra as spectra_mod
+
+        spectra_calls = []
+        real_summary = spectra_mod.spectral_summary
+
+        def spy_summary(a, bits):
+            spectra_calls.append(a)
+            return real_summary(a, bits)
+
+        def no_degree_sequence(a, n):
+            raise AssertionError("analyze must not rebuild the powers")
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("monodeg."):
+                if hasattr(mod, "spectral_summary"):
+                    monkeypatch.setattr(mod, "spectral_summary", spy_summary)
+                if hasattr(mod, "degree_sequence"):
+                    monkeypatch.setattr(mod, "degree_sequence", no_degree_sequence)
+        code, _ = run_cli(["analyze", "-m", FORWARD, "--format", "json"])
+        assert code == EXIT_OK
+        assert spectra_calls == [parse_matrix(FORWARD), parse_matrix(INVERSE)]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # the search guard used to shrink to 24, so a spurious order-8
+            # candidate verified against a proven non-recurrence
+            "[[1,1],[-3,0]]",
+            "[[1,3],[-1,0]]",
+            # a spurious order-14 relation holds for n = 19..308
+            "[[2,3,-1],[-3,1,1],[1,3,1]]",
+            # the attached recurrence holds only from n = 99, so it is
+            # verified on the doubled window
+            "[[-1,-3,-2],[-2,-2,2],[-2,-1,3]]",
+        ],
+    )
+    def test_default_bounds_consistent(self, matrix):
+        code, out = run_cli(["analyze", "-m", matrix, "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["consistency"]["status"] == "CONSISTENT"
+        bounds = payload["search_bounds"]
+        assert bounds["guard"] == 4 * bounds["max_order"]
 
 
 class TestStrictMode:
     def test_unresolved_spectrum_exit_codes(self, monkeypatch):
-        import monodeg.cli as cli_mod
+        import monodeg.verdict as verdict_mod
         from monodeg.errors import UnresolvedCertification
 
         def boom(a, bits):
             raise UnresolvedCertification("forced for the test")
 
-        monkeypatch.setattr(cli_mod, "spectral_summary", boom)
+        monkeypatch.setattr(verdict_mod, "spectral_summary", boom)
         code, out = run_cli(["analyze", "-m", "[[0,1],[1,1]]", "--strict"])
         assert code == 4
         assert "unresolved" in out

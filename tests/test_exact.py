@@ -6,6 +6,7 @@ from monodeg.errors import DimensionMismatch, NotUnimodular
 from monodeg.exact import (
     IntMatrix,
     IntPoly,
+    _pseudo_rem,
     char_poly,
     cyclotomic,
     det,
@@ -154,6 +155,27 @@ class TestInverseUnimodular:
             k = rng.choice([2, 3, 4])
             a = random_unimodular(rng, k)
             assert mat_mul(a, inverse_unimodular(a)) == IntMatrix.identity(k)
+
+
+class TestPseudoRem:
+    def test_defining_identity_and_coefficient_rings_agree(self):
+        # lc(b)^(deg a - deg b + 1) * a - prem(a, b) is a multiple of b, and
+        # constant IntPoly coefficients give the same remainder as ints
+        rng = random.Random(5)
+        for _ in range(20):
+            a = IntPoly([rng.randint(-9, 9) for _ in range(6)] + [rng.randint(1, 9)])
+            b = IntPoly([rng.randint(-9, 9) for _ in range(3)] + [rng.randint(-9, -1)])
+            r = IntPoly(_pseudo_rem(a.coeffs, b.coeffs))
+            assert r.degree < b.degree
+            assert b.divides(a.scale(b.lc ** (a.degree - b.degree + 1)) - r)
+            lifted = _pseudo_rem(
+                [IntPoly((c,)) for c in a.coeffs], [IntPoly((c,)) for c in b.coeffs]
+            )
+            assert [c.constant for c in lifted] == list(_pseudo_rem(a.coeffs, b.coeffs))
+
+    def test_lower_degree_dividend_rejected(self):
+        with pytest.raises(ValueError):
+            _pseudo_rem(IntPoly((5,)).coeffs, IntPoly((1, 0, 3)).coeffs)
 
 
 class TestPolyGcd:

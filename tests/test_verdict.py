@@ -4,7 +4,7 @@ import pytest
 
 from monodeg.cells import STABILIZED
 from monodeg.degree import degree_sequence
-from monodeg.errors import NotUnimodular, RankDeficient
+from monodeg.errors import NotUnimodular, RankDeficient, WindowTooShort
 from monodeg.exact import IntMatrix, IntPoly, det
 from monodeg.recur import find_recurrence
 from monodeg.spectra import EQ, spectral_summary
@@ -172,6 +172,13 @@ class TestCrossCheck:
         assert report.trace.status.kind == STABILIZED
         assert report.trace.status.from_index == 1
 
+    def test_guard_is_honoured(self):
+        report = cross_check(NO_RECURRENCE_3X3, window=60, max_order=10, guard=25)
+        assert report.bounds == {"window": 60, "max_order": 10, "guard": 25}
+        assert report.sequence.terms == degree_sequence(NO_RECURRENCE_3X3, 60).terms
+        with pytest.raises(WindowTooShort):
+            cross_check(NO_RECURRENCE_3X3, window=60, max_order=10, guard=41)
+
     def test_persistent_stabilization_conflict_is_reported(self, monkeypatch):
         # force a stabilized trace for a proven non-recurrence matrix: the
         # cross check must retry on a doubled window and then flag it
@@ -187,6 +194,7 @@ class TestCrossCheck:
             return CellTrace(
                 source=a,
                 window=window,
+                degrees=degree_sequence(a, window).terms,
                 representatives=(rep,) * window,
                 tie_counts=(1,) * window,
                 switch_indices=(),
