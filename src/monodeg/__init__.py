@@ -30,7 +30,6 @@ from .errors import (
 from .exact import (
     IntMatrix,
     IntPoly,
-    Rational,
     char_poly,
     cyclotomic,
     det,

@@ -29,14 +29,9 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, NotUnimodular
-
-# Exact rationals.  fractions.Fraction already maintains the invariants we
-# need (positive denominator, reduced form), so it is used directly.
-Rational = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +111,6 @@ class IntPoly:
     def scale(self, c: int) -> IntPoly:
         return IntPoly(tuple(c * x for x in self.coeffs))
 
-    def shift(self, n: int) -> IntPoly:
-        """Multiply by x^n."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * n + self.coeffs)
-
     def pow(self, n: int) -> IntPoly:
         result = IntPoly((1,))
         base = self
@@ -139,12 +128,6 @@ class IntPoly:
 
     def eval_int(self, x: int) -> int:
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -241,13 +224,6 @@ class IntPoly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
-
-
-def poly_from_roots(roots: Iterable[int]) -> IntPoly:
-    p = IntPoly((1,))
-    for r in roots:
-        p = p * IntPoly((-r, 1))
-    return p
 
 
 def _pseudo_rem(a: Sequence, b: Sequence) -> list:
@@ -447,13 +423,6 @@ class IntMatrix:
     def identity(cls, k: int) -> IntMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> IntMatrix:
-        return cls(tuple(tuple(r) for r in rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     @property
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.rows)
@@ -573,12 +542,3 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
             cof[i][j] = (-1) ** (i + j) * det(minor)
     # inverse = adj / det = transpose(cof) * det  (det is +-1)
     return IntMatrix(tuple(tuple(d * cof[j][i] for j in range(n)) for i in range(n)))
-
-
-def poly_at_matrix(p: IntPoly, a: IntMatrix) -> IntMatrix:
-    """Evaluate an integer polynomial at a matrix (Horner with mat_mul)."""
-    k = a.k
-    acc = IntMatrix.identity(k).scale(0)
-    for c in reversed(p.coeffs):
-        acc = mat_mul(acc, a).add(IntMatrix.identity(k).scale(c))
-    return acc

@@ -179,13 +179,27 @@ def find_recurrence(
 ) -> Recurrence | None:
     """Bounded recurrence search with an exact verification tail.
 
-    Candidates of order <= max_order are fitted on windows of length
-    2*max_order (the window start may drop up to max_order head terms, for
-    recurrences that only hold eventually) and each candidate is then checked
-    exactly against the whole sequence; at least ``guard`` terms beyond the
-    fitting window must remain for a candidate to count.  The least-order
-    verified candidate wins.  None means the bounded search found nothing,
-    never that no recurrence exists.
+    One Berlekamp-Massey fit runs on the last 2*max_order terms before the
+    ``guard`` tail, seq[fs : fs + 2m] with m = max_order and
+    fs = len(seq) - guard - 2m.  A fit of order L whose polynomial carries a
+    factor x^j (its j lowest coefficients vanish) is stripped to p = fit/x^j,
+    keeping order >= 1; p holds on the window from 1-based index fs + j + 1.
+    p is then verified exactly on the whole sequence and accepted only when
+    it holds from fs + j + 1 (or earlier) through the end, so the guard tail
+    confirms it; the reported ``valid_from`` is where it starts to hold.
+    None means the bounded search found nothing, never that no recurrence
+    exists.
+
+    One fit is enough (Massey, "Shift-register synthesis and BCH decoding",
+    1969): if a relation of length L generates a run of N terms but not the
+    next one, every relation generating the longer run has length at least
+    N + 1 - L.  Let q, of order r <= m, hold from some index <= fs + 1
+    through the end.  It annihilates the fit window, so the fit has order
+    L <= r, and if the fit failed first at a later term N' >= 2m, q would
+    need length r >= 2m + 1 - L > m.  Hence the fit holds through the end,
+    and the search returns q itself or a relation of lower order that holds
+    through the end.  Without the fs + j + 1 bound a stripped relation would
+    count as found on a bare 2*order suffix, which proves nothing.
     """
     if max_order < 1 or guard < 1:
         raise ValueError("max_order and guard must be positive")
@@ -196,23 +210,18 @@ def find_recurrence(
             f"need at least {fit_len + guard} terms "
             f"(2*max_order + guard), got {n_terms}"
         )
-    max_drop = min(max_order, n_terms - fit_len - guard)
-    candidates: list[tuple[int, int, Recurrence]] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for drop in range(max_drop + 1):
-        rec = berlekamp_massey(seq[drop : drop + fit_len])
-        if rec is None or rec.order > max_order:
-            continue
-        if rec.coefficients in seen:
-            continue
-        seen.add(rec.coefficients)
-        candidates.append((rec.order, drop, rec))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    for order, drop, rec in candidates:
-        valid_from = verify_recurrence(seq, rec)
-        if valid_from is not None and valid_from <= drop + 1:
-            return Recurrence(rec.coefficients, valid_from)
-    return None
+    fs = n_terms - guard - fit_len
+    fit = berlekamp_massey(seq[fs : fs + fit_len])
+    if fit is None or fit.order > max_order:
+        return None
+    cs = fit.coefficients
+    j = 0
+    while j < len(cs) - 1 and cs[j] == 0:
+        j += 1
+    valid_from = verify_recurrence(seq, Recurrence(cs[j:]))
+    if valid_from is None or valid_from > fs + j + 1:
+        return None
+    return Recurrence(cs[j:], valid_from)
 
 
 def eventually_periodic(

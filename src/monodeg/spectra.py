@@ -223,10 +223,6 @@ class _RealRoot:
         else:
             self.hi = mid
 
-    def refine_below(self, width: Fraction) -> None:
-        while self.exact is None and self.hi - self.lo > width:
-            self.refine_step()
-
 
 def _isolate_real_roots(p: IntPoly) -> list[_RealRoot]:
     """Disjoint records, one per real root of the squarefree polynomial p."""
@@ -908,7 +904,7 @@ def unity_ratio_orders(p: IntPoly) -> list[int]:
     return _orders_from_reduced(reduced, p.degree)
 
 
-def _ratio_disk(pair_handle, cap_bits: int):
+def _ratio_disk(pair_handle):
     """Certified disk around conj(root)/root for an upper-half-plane handle.
 
     center = conj(c)/c is exact; the error bound is 2r/(|c| - r), evaluated
@@ -919,13 +915,13 @@ def _ratio_disk(pair_handle, cap_bits: int):
     r = pair_handle.radius()
     if pair_handle.is_exact:
         center = _c_div((c[0], -c[1]), c)
-        return center, pair_handle.radius(), True
+        return center, pair_handle.radius()
     m2 = _c_abs2(c)
     slo, _ = _sqrt_bounds(m2, max(32, _frac_bits(r) + 8))
     if slo <= r:
         return None
     center = _c_div((c[0], -c[1]), c)
-    return center, 2 * r / (slo - r), False
+    return center, 2 * r / (slo - r)
 
 
 def _attribute_pair(
@@ -955,11 +951,11 @@ def _attribute_pair(
     w_handles = _isolate_handles(w_poly, eps) if w_poly.degree >= 1 else []
     cap_radius = Fraction(1, 1 << cap_bits)
     for _ in range(cap_bits + 64):
-        disk = _ratio_disk(pair_handle, cap_bits)
+        disk = _ratio_disk(pair_handle)
         if disk is None:
             pair_handle.shrink()
             continue
-        center, rad, _exact = disk
+        center, rad = disk
         ratio_disk = (center[0], center[1], rad)
 
         def hits(handles) -> bool:

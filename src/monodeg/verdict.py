@@ -20,6 +20,7 @@ DUALITY_GENERIC.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -29,7 +30,7 @@ from .cells import CellTrace, cell_trace
 from .degree import DegreeSequence
 from .errors import RankDeficient, UnresolvedCertification, WindowTooShort
 from .exact import IntMatrix, IntPoly, char_poly, det, inverse_unimodular, mat_pow
-from .recur import Recurrence, check_candidate, find_recurrence
+from .recur import Recurrence, find_recurrence, verify_recurrence
 from .spectra import (
     EQ,
     GT,
@@ -267,18 +268,23 @@ def cross_check(
     """Empirical validation of the theorem engine on one matrix.
 
     One pass over A^1 .. A^window yields both the degree sequence and the
-    cell trace.  The bounded recurrence search fits candidates of order at
-    most ``max_order`` and verifies each exactly on a tail of ``guard``
-    further terms; ``guard`` is honoured as given (None means 4*max_order)
-    and WindowTooShort is raised when window < 2*max_order + guard.
+    cell trace.  The bounded recurrence search (one Berlekamp-Massey fit of
+    order at most ``max_order``, see :func:`find_recurrence`) is verified
+    exactly on a tail of ``guard`` further terms; ``guard`` is honoured as
+    given (None means 4*max_order) and WindowTooShort is raised when
+    window < 2*max_order + guard.
 
     A proven recurrence must actually verify on the computed sequence: the
     characteristic polynomial itself for THM_2_7_CHARPOLY, otherwise the
     search's find or the attached recurrence.  A proven non-recurrence must
-    leave the search empty-handed and the cell trace unstabilized.  A
-    verification that fails, or a trace that stabilized, is retried once on
-    a doubled window (one more pass yielding degrees and cells, since
-    transients can outlast the window) before being reported as a conflict.
+    leave the search empty-handed and the cell trace unstabilized.  Every
+    piece of evidence against the verdict is retried once on a doubled
+    window before it is reported as a conflict, since transients can outlast
+    the window and spurious relations can hold for a while: a failed
+    verification must still fail, a found candidate must still hold from its
+    ``valid_from`` through 2*window, a stabilized trace must stay stabilized.
+    The checks share one lazily built doubled-window pass (degrees and
+    cells).
     """
     if guard is None:
         guard = 4 * max_order
@@ -293,13 +299,14 @@ def cross_check(
     found = find_recurrence(seq.terms, max_order, guard)
     bounds = {"window": window, "max_order": max_order, "guard": guard}
 
+    doubled = functools.cache(lambda: cell_trace(a, 2 * window))
+
     conflicts: list[str] = []
     if verdict.classification == RECURRENCE_PROVEN:
         charpoly_basis = verdict.basis == THM_2_7_CHARPOLY
         if found is None or charpoly_basis:
-            p = verdict.recurrence.char_poly()
-            if not (_holds(seq.terms, p)
-                    or _holds(cell_trace(a, 2 * window).degrees, p)):
+            rec = verdict.recurrence
+            if not (_holds(seq.terms, rec) or _holds(doubled().degrees, rec)):
                 conflicts.append(
                     "characteristic polynomial recurrence failed exact verification"
                     if charpoly_basis
@@ -307,16 +314,18 @@ def cross_check(
                 )
     elif verdict.classification == NO_RECURRENCE_PROVEN:
         if found is not None:
-            conflicts.append(
-                f"proven non-recurrence but order-{found.order} candidate verified"
-            )
-        if trace.status.kind == cells_mod.STABILIZED:
-            retry = cell_trace(a, 2 * window)
-            if retry.status.kind == cells_mod.STABILIZED:
+            offset = verify_recurrence(doubled().degrees, found)
+            if offset is not None and offset <= found.valid_from:
                 conflicts.append(
-                    "proven non-recurrence but the cell trace stabilized "
-                    "(persisted on a doubled window)"
+                    f"proven non-recurrence but order-{found.order} candidate "
+                    "verified (persisted on a doubled window)"
                 )
+        if (trace.status.kind == cells_mod.STABILIZED
+                and doubled().status.kind == cells_mod.STABILIZED):
+            conflicts.append(
+                "proven non-recurrence but the cell trace stabilized "
+                "(persisted on a doubled window)"
+            )
     status = CONSISTENT if not conflicts else INCONSISTENT
     return CrossCheckReport(
         verdict=verdict,
@@ -329,9 +338,9 @@ def cross_check(
     )
 
 
-def _holds(terms: tuple[int, ...], p: IntPoly) -> bool:
-    """The monic integer recurrence p verifies exactly on terms."""
-    return p.degree + 2 <= len(terms) and check_candidate(terms, p) is not None
+def _holds(terms: tuple[int, ...], rec: Recurrence) -> bool:
+    """The recurrence verifies exactly on terms."""
+    return rec.order + 2 <= len(terms) and verify_recurrence(terms, rec) is not None
 
 
 __all__ = [

@@ -10,6 +10,9 @@ These deliberately avoid the production code paths they check:
   ranks instead of Berlekamp-Massey;
 * polyroots_oracle approximates every complex root to 100 digits with
   mpmath instead of certifying isolating boxes.
+
+The small polynomial helpers (poly_from_roots, eval_fraction, poly_at_matrix)
+build test inputs and evaluate them exactly; the package has no use for them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,32 @@ from __future__ import annotations
 from fractions import Fraction
 import random
 
-from monodeg.exact import IntMatrix, IntPoly, det
+from monodeg.exact import IntMatrix, IntPoly, det, mat_mul
+
+
+def poly_from_roots(roots: list[int]) -> IntPoly:
+    """Monic integer polynomial with the given (repeated) integer roots."""
+    p = IntPoly((1,))
+    for r in roots:
+        p = p * IntPoly((-r, 1))
+    return p
+
+
+def eval_fraction(p: IntPoly, x: Fraction) -> Fraction:
+    """p(x) in exact rationals (Horner)."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_at_matrix(p: IntPoly, a: IntMatrix) -> IntMatrix:
+    """p(A) for an integer polynomial p (Horner with mat_mul)."""
+    k = a.k
+    acc = IntMatrix.identity(k).scale(0)
+    for c in reversed(p.coeffs):
+        acc = mat_mul(acc, a).add(IntMatrix.identity(k).scale(c))
+    return acc
 
 
 def homogenization_degree(a: IntMatrix) -> int:

@@ -192,6 +192,26 @@ class TestAnalyzeCommand:
         bounds = payload["search_bounds"]
         assert bounds["guard"] == 4 * bounds["max_order"]
 
+    def test_spurious_candidate_retried_on_doubled_window(self):
+        # at -n 200 an order-12 relation holds from n = 21 through the window
+        # but not through 400 terms
+        code, out = run_cli(
+            ["analyze", "-m", "[[2,3,-1],[-3,1,1],[1,3,1]]", "-n", "200", "--format", "json"]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["consistency"]["status"] == "CONSISTENT"
+        assert payload["verdicts"]["d1"]["classification"] == "NO_RECURRENCE_PROVEN"
+
+    def test_stripped_fit_is_not_reported_without_the_tail(self):
+        # the fit's x^j-free part only agrees on a bare suffix, which must not
+        # count as a recurrence of a proven non-recurrence
+        code, out = run_cli(["analyze", "-m", "[[-3,3],[-3,1]]", "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["recurrence"] is None
+        assert payload["consistency"]["status"] == "CONSISTENT"
+
 
 class TestStrictMode:
     def test_unresolved_spectrum_exit_codes(self, monkeypatch):
@@ -234,6 +254,23 @@ class TestRecurrenceCommand:
         payload = json.loads(out)
         assert payload["recurrence"]["order"] == 3
         assert payload["recurrence"]["polynomial"] == "x^3 - x^2 - x - 1"
+
+    @pytest.mark.parametrize("terms", [[], ["-n", "200"]])
+    def test_power_of_x_head_is_valid_from(self, terms):
+        # the sequence obeys x - 3 from n = 4, not x^4 - 3*x^3 from n = 1
+        code, out = run_cli(["recurrence", "-m", "[[2,-1],[0,-3]]"] + terms)
+        assert code == EXIT_OK
+        assert out == "recurrence: x - 3 (order 1, valid from 4)\n"
+
+    def test_long_transient_found_on_long_window(self):
+        code, out = run_cli(
+            ["recurrence", "-m", "[[-1,-3,-2],[-2,-2,2],[-2,-1,3]]", "-n", "200",
+             "--format", "json"]
+        )
+        assert code == EXIT_OK
+        rec = json.loads(out)["recurrence"]
+        assert rec["polynomial"] == "x^3 - 15*x - 2"
+        assert rec["valid_from"] == 99
 
     def test_none_found_text(self):
         code, out = run_cli(

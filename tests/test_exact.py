@@ -14,14 +14,18 @@ from monodeg.exact import (
     inverse_unimodular,
     mat_mul,
     mat_pow,
-    poly_at_matrix,
-    poly_from_roots,
     poly_gcd,
     resultant_in_y,
 )
 
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE, TRIBONACCI_COMPANION
-from oracles import random_matrix, sylvester_resultant_in_y
+from oracles import (
+    eval_fraction,
+    poly_at_matrix,
+    poly_from_roots,
+    random_matrix,
+    sylvester_resultant_in_y,
+)
 
 
 def schoolbook_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -346,6 +350,6 @@ class TestIntPolyBasics:
         for _ in range(30):
             p = _rand_poly(rng)
             num, den = rng.randint(-20, 20), rng.randint(1, 9)
-            v = p.eval_fraction(Fraction(num, den))
+            v = eval_fraction(p, Fraction(num, den))
             s = p.sign_at(num, den)
             assert s == (v > 0) - (v < 0)

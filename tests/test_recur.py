@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import monodeg.recur as recur_mod
 from monodeg.degree import degree_sequence
 from monodeg.errors import WindowTooShort
 from monodeg.exact import IntPoly
@@ -154,6 +157,63 @@ class TestFindRecurrence:
         assert rec.order == 1
         assert rec.char_poly() == IntPoly((-2, 1))
         assert rec.valid_from == 3
+
+    def test_one_fit_per_search(self, monkeypatch):
+        calls = []
+
+        def spy(seq):
+            calls.append(len(seq))
+            return berlekamp_massey(seq)
+
+        monkeypatch.setattr(recur_mod, "berlekamp_massey", spy)
+        seq = [9, 7] + [2**i for i in range(98)]
+        rec = find_recurrence(seq, max_order=4, guard=8)
+        assert calls == [8]
+        assert rec.char_poly() == IntPoly((-2, 1))
+        assert rec.valid_from == 3
+
+    def test_power_of_x_factor_becomes_valid_from(self):
+        # the fit on the first 2*max_order terms is x^3 * (x - 3): a head of
+        # three terms followed by a geometric tail
+        seq = [5, -1, 4] + [3**i for i in range(21)]
+        rec = find_recurrence(seq, max_order=4, guard=16)
+        assert rec.char_poly() == IntPoly((-3, 1))
+        assert rec.valid_from == 4
+
+    def test_stripped_relation_needs_the_guard_tail(self):
+        # the fit is x^3 * (x - 2), so x - 2 would have to hold from index 4;
+        # the guard tail breaks it and only its last two terms agree again,
+        # which is no evidence, so nothing is reported
+        seq = [1, 3, 2, 1, 2, 4, 8, 16] + [1, 1, 1, 5, 2, 9, 3, 6]
+        assert find_recurrence(seq, max_order=4, guard=8) is None
+
+
+M, GUARD, N = 4, 8, 40  # fixed sizes: the fit window starts at N - GUARD - 2M
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, M).flatmap(
+        lambda r: st.tuples(
+            st.lists(st.integers(-3, 3), min_size=r - 1, max_size=r - 1),
+            st.integers(-3, 3).filter(bool),
+            st.lists(st.integers(-5, 5), min_size=r, max_size=r),
+        )
+    ),
+    st.integers(0, N - GUARD - 2 * M),
+    st.data(),
+)
+def test_relation_after_junk_head_is_found(relation, head, data):
+    upper, a0, seeds = relation
+    coeffs = [a0] + upper  # nonzero constant term: no x^j factor to strip
+    junk = data.draw(st.lists(st.integers(-50, 50), min_size=head, max_size=head))
+    tail = run_recurrence(coeffs, seeds, N - head)
+    seq = junk + [int(x) for x in tail]
+    rec = find_recurrence(seq, max_order=M, guard=GUARD)
+    assert rec is not None
+    assert rec.order <= len(coeffs)
+    assert rec.valid_from <= head + 1
+    assert verify_recurrence(seq, rec) == rec.valid_from
 
 
 class TestEventuallyPeriodic:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monodeg.cells import STABILIZED
+from monodeg.cells import STABILIZED, UNRESOLVED
 from monodeg.degree import degree_sequence
 from monodeg.errors import NotUnimodular, RankDeficient, WindowTooShort
 from monodeg.exact import IntMatrix, IntPoly, det
@@ -207,6 +207,36 @@ class TestCrossCheck:
         assert calls == [60, 120]  # the doubled-window retry happened
         assert any("stabilized" in c for c in report.conflicts)
 
+    def test_persistent_candidate_conflict_is_reported(self, monkeypatch):
+        # give a proven non-recurrence matrix a linear degree sequence: the
+        # search finds (x - 1)^2, the cross check retries it on a doubled
+        # window, where it still holds, and then flags it
+        import monodeg.verdict as verdict_mod
+        from monodeg.cells import CellTrace, TraceStatus
+        from monodeg.degree import canonical_cell
+
+        calls = []
+
+        def fake_trace(a, window):
+            calls.append(window)
+            rep, _ = canonical_cell(a)
+            return CellTrace(
+                source=a,
+                window=window,
+                degrees=tuple(range(2, window + 2)),
+                representatives=(rep,) * window,
+                tie_counts=(1,) * window,
+                switch_indices=(),
+                status=TraceStatus(UNRESOLVED),
+            )
+
+        monkeypatch.setattr(verdict_mod, "cell_trace", fake_trace)
+        report = cross_check(NO_RECURRENCE_3X3, window=60, max_order=10)
+        assert report.recurrence.char_poly() == IntPoly((1, -2, 1))
+        assert report.status == "INCONSISTENT"
+        assert calls == [60, 120]  # the doubled-window retry happened
+        assert any("order-2 candidate" in c for c in report.conflicts)
+
 
 class TestCorpusProperties:
     def test_disjoint_deterministic_and_sound(self):
@@ -231,8 +261,8 @@ class TestCorpusProperties:
                 # soundness: the theorem-attached recurrence must verify
                 # exactly; the bounded search must agree whenever its fit
                 # window can reach the verified tail (order can exceed 2k^2
-                # and the offset can exceed any bounded head drop, see the
-                # regression tests below)
+                # and the offset can lie past the start of the fit window,
+                # see the regression tests below)
                 from monodeg.recur import check_candidate
 
                 k = a.k
@@ -266,7 +296,7 @@ class TestCorpusProperties:
     def test_slow_cell_stabilization_regression(self):
         # all-real spectrum with two close moduli: the attached stride-2
         # recurrence holds only from a deep offset, so the bounded search
-        # with a max_order-limited head drop cannot see it
+        # fitting the first 2*max_order terms of a default window cannot see it
         a = IntMatrix(((-2, 2, 2, 1), (0, 2, -2, -1), (2, -1, -1, -1), (-3, -2, 1, 1)))
         v = classify_d1(a)
         assert v.classification == RECURRENCE_PROVEN
@@ -276,4 +306,4 @@ class TestCorpusProperties:
         seq = degree_sequence(a, 150).terms
         offset = check_candidate(seq, v.recurrence.char_poly())
         assert offset is not None
-        assert offset > 2 * a.k * a.k  # beyond any default head drop
+        assert offset > 2 * a.k * a.k  # past the default max_order
