@@ -42,7 +42,6 @@ from .exact import (
 from .recur import (
     Recurrence,
     berlekamp_massey,
-    check_candidate,
     eventually_periodic,
     find_recurrence,
     verify_recurrence,

@@ -11,6 +11,11 @@ that proves anything.  Detector thresholds are fixed conventions: a
 STABILIZED tail must cover the final ceil(N/2) entries, a PERIODIC tail must
 cover the same range with minimal period at most floor(N/4) and two full
 periods observed.
+
+The powers are walked once (:func:`~monodeg.exact.power_rows`).  The
+periodicity detector makes one backward scan per period, stopping at the
+first mismatch: each period costs one comparison more than the length of its
+matching tail.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .degree import FunctionalIndex, cell_and_degree
+from .degree import FunctionalIndex, _rows_cell_and_degree
 from .errors import RankDeficient
-from .exact import IntMatrix, det, mat_mul
+from .exact import IntMatrix, det, power_rows
 from .recur import eventually_periodic
 
 STABILIZED = "STABILIZED"
@@ -80,13 +85,11 @@ def cell_trace(a: IntMatrix, window: int) -> CellTrace:
     degrees: list[int] = []
     reps: list[FunctionalIndex] = []
     ties: list[int] = []
-    power = a
-    for _ in range(window):
-        rep, tie, d = cell_and_degree(power)
+    for rows in power_rows(a, window):
+        rep, tie, d = _rows_cell_and_degree(rows)
         degrees.append(d)
         reps.append(rep)
         ties.append(tie)
-        power = mat_mul(power, a)
     switches = tuple(
         i + 1 for i in range(1, window) if reps[i] != reps[i - 1]
     )  # 1-based indices, each >= 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch, NotUnimodular, RankDeficient
-from .exact import IntMatrix, det, inverse_unimodular, mat_mul
+from .exact import IntMatrix, Rows, det, inverse_unimodular, power_rows
 
 
 @dataclass(frozen=True, order=True)
@@ -95,24 +95,25 @@ def degree(a: IntMatrix) -> int:
     """Map degree D(A); at least 1 for every nonzero integer matrix."""
     if a.is_zero:
         raise ValueError("degree of the zero matrix is not defined")
-    row_part = max(0, *a.row_sums())
-    col_part = 0
-    for j in range(a.k):
-        col_part += max(0, *(-a.rows[i][j] for i in range(a.k)))
-    return row_part + col_part
+    return _rows_degree(a.rows)
 
 
-def _argmax_sets(a: IntMatrix) -> tuple[int, list[list[int]]]:
-    """D(a), the sum of the per-max maxima, and the per-max argmax choice
-    sets: index 0 for the row-sum max, then one per column.  Choice 0 is the
-    constant-0 branch."""
-    sets: list[list[int]] = []
-    sums = a.row_sums()
-    best = max(0, *sums)
+def _rows_degree(rows: Rows) -> int:
+    """D of the matrix with these rows (the row-sum max plus one max per
+    column, each with its constant-0 branch)."""
+    return max(0, *map(sum, rows)) + sum(max(0, -min(col)) for col in zip(*rows))
+
+
+def _argmax_sets(rows: Rows) -> tuple[int, list[list[int]]]:
+    """D of the matrix with these rows, the sum of the per-max maxima, and
+    the per-max argmax choice sets: index 0 for the row-sum max, then one per
+    column.  Choice 0 is the constant-0 branch."""
+    sums = [0, *map(sum, rows)]
+    best = max(sums)
     total = best
-    sets.append([c for c, v in enumerate([0, *sums]) if v == best])
-    for j in range(a.k):
-        vals = [0] + [-a.rows[i][j] for i in range(a.k)]
+    sets = [[c for c, v in enumerate(sums) if v == best]]
+    for col in zip(*rows):
+        vals = [0, *(-x for x in col)]
         best = max(vals)
         total += best
         sets.append([c for c, v in enumerate(vals) if v == best])
@@ -126,7 +127,7 @@ def achieving_cells(a: IntMatrix) -> set[FunctionalIndex]:
     """
     if a.is_zero:
         raise ValueError("achieving cells of the zero matrix are not defined")
-    return {FunctionalIndex(c) for c in product(*_argmax_sets(a)[1])}
+    return {FunctionalIndex(c) for c in product(*_argmax_sets(a.rows)[1])}
 
 
 def canonical_cell(a: IntMatrix) -> tuple[FunctionalIndex, int]:
@@ -143,7 +144,12 @@ def cell_and_degree(a: IntMatrix) -> tuple[FunctionalIndex, int, int]:
     """``canonical_cell(a)`` plus D(a), all from one pass over the maxima."""
     if a.is_zero:
         raise ValueError("achieving cells of the zero matrix are not defined")
-    total, sets = _argmax_sets(a)
+    return _rows_cell_and_degree(a.rows)
+
+
+def _rows_cell_and_degree(rows: Rows) -> tuple[FunctionalIndex, int, int]:
+    """``cell_and_degree`` of the matrix with these rows, assumed nonzero."""
+    total, sets = _argmax_sets(rows)
     count = 1
     for s in sets:
         count *= len(s)
@@ -153,18 +159,15 @@ def cell_and_degree(a: IntMatrix) -> tuple[FunctionalIndex, int, int]:
 def degree_sequence(a: IntMatrix, n: int) -> DegreeSequence:
     """Degrees of the first n iterates, computed on exact matrix powers.
 
-    Powers are built iteratively so each A^(m-1) is reused for A^m.
+    One walk over the powers (:func:`~monodeg.exact.power_rows`); a
+    full-rank matrix has no zero power.
     """
     if n < 1:
         raise ValueError("sequence length must be at least 1")
     if det(a) == 0:
         raise RankDeficient("degree sequences need a matrix of full rank")
-    terms = []
-    power = a
-    for _ in range(n):
-        terms.append(degree(power))
-        power = mat_mul(power, a)
-    return DegreeSequence(tuple(terms), a, dual=False)
+    terms = tuple(map(_rows_degree, power_rows(a, n)))
+    return DegreeSequence(terms, a, dual=False)
 
 
 def dual_degree_sequence(a: IntMatrix, n: int) -> DegreeSequence:

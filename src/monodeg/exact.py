@@ -29,7 +29,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, NotUnimodular
 
@@ -430,9 +430,6 @@ class IntMatrix:
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.k))
 
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
-
     def add(self, other: IntMatrix) -> IntMatrix:
         if self.k != other.k:
             raise DimensionMismatch("matrix dimensions differ")
@@ -447,18 +444,38 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
 
 
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _product_rows(rows: Rows, cols: Rows) -> Rows:
+    """Rows of the product of a matrix given by ``rows`` and one given by
+    its ``cols``."""
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in rows)
+
+
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
     if a.k != b.k:
         raise DimensionMismatch(f"cannot multiply {a.k}x{a.k} by {b.k}x{b.k}")
-    k = a.k
-    bt = tuple(zip(*b.rows))
-    return IntMatrix(
-        tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in a.rows
-        )
-    )
+    return IntMatrix(_product_rows(a.rows, tuple(zip(*b.rows))))
+
+
+def power_rows(a: IntMatrix, n: int) -> Iterator[Rows]:
+    """Row tuples of A^1 .. A^n, in order (nothing when n < 1).
+
+    Each power is one product of the previous one with A's columns, which are
+    taken once.  No IntMatrix is built per power: ``a`` was validated when it
+    was constructed and products of ints are ints.  Only the current power is
+    held, and A^(n+1) is never computed.
+    """
+    if n < 1:
+        return
+    cols = tuple(zip(*a.rows))
+    rows = a.rows
+    yield rows
+    for _ in range(n - 1):
+        rows = _product_rows(rows, cols)
+        yield rows
 
 
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:

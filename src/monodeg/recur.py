@@ -165,15 +165,6 @@ def verify_recurrence(seq: Sequence[int | Fraction], rec: Recurrence) -> int | N
     return valid_from
 
 
-def check_candidate(seq: Sequence[int], p: IntPoly) -> int | None:
-    """Treat a monic integer polynomial as a recurrence and verify it."""
-    if not p.is_monic or p.degree < 1:
-        raise ValueError("candidate polynomial must be monic of degree >= 1")
-    if len(seq) < p.degree + 2:
-        raise ValueError("sequence too short for this candidate")
-    return verify_recurrence(seq, Recurrence.from_poly(p))
-
-
 def find_recurrence(
     seq: Sequence[int], max_order: int, guard: int
 ) -> Recurrence | None:
@@ -231,15 +222,26 @@ def eventually_periodic(
 
     The periodic tail must cover at least the final ``window`` symbols and
     contain two full periods.  Period is minimised first, then preperiod.
+
+    One backward scan per period.  For a period p, preperiod q is valid when
+    s[i] == s[i + p] for every i in [q, n - p); if q is valid so is every
+    larger q, so the valid preperiods form an up-set whose least element is
+    one past the last mismatch (0 when there is none).  Scanning i down from
+    n - p - 1 and stopping at the first mismatch finds it; p is accepted when
+    that least preperiod is at most min(n - window, n - 2p), the bounds that
+    make the tail cover the window and hold two full periods.  Each period
+    costs one comparison more than the length of its matching tail.
     """
     n = len(symbols)
     if not 0 < window <= n:
         raise ValueError("window must satisfy 0 < window <= len(symbols)")
     pre_cap = n - window
     for period in range(1, n // 2 + 1):
-        for pre in range(0, min(pre_cap, n - 2 * period) + 1):
-            if all(symbols[i] == symbols[i + period] for i in range(pre, n - period)):
-                return pre, period
+        i = n - period - 1
+        while i >= 0 and symbols[i] == symbols[i + period]:
+            i -= 1
+        if i + 1 <= min(pre_cap, n - 2 * period):
+            return i + 1, period
     return None
 
 
@@ -247,7 +249,6 @@ __all__ = [
     "Recurrence",
     "berlekamp_massey",
     "verify_recurrence",
-    "check_candidate",
     "find_recurrence",
     "eventually_periodic",
     "WindowTooShort",

@@ -283,8 +283,9 @@ def cross_check(
     the window and spurious relations can hold for a while: a failed
     verification must still fail, a found candidate must still hold from its
     ``valid_from`` through 2*window, a stabilized trace must stay stabilized.
-    The checks share one lazily built doubled-window pass (degrees and
-    cells).
+    A candidate the doubled window refutes is not reported as the report's
+    ``recurrence``.  The checks share one lazily built doubled-window pass
+    (degrees and cells).
     """
     if guard is None:
         guard = 4 * max_order
@@ -320,6 +321,8 @@ def cross_check(
                     f"proven non-recurrence but order-{found.order} candidate "
                     "verified (persisted on a doubled window)"
                 )
+            else:
+                found = None  # refuted by the doubled window: not reported
         if (trace.status.kind == cells_mod.STABILIZED
                 and doubled().status.kind == cells_mod.STABILIZED):
             conflicts.append(

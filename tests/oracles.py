@@ -9,10 +9,13 @@ These deliberately avoid the production code paths they check:
 * hankel_min_order recovers the minimal annihilator order from exact Hankel
   ranks instead of Berlekamp-Massey;
 * polyroots_oracle approximates every complex root to 100 digits with
-  mpmath instead of certifying isolating boxes.
+  mpmath instead of certifying isolating boxes;
+* eventually_periodic_oracle tries every (period, preperiod) pair and
+  rescans the whole tail for each instead of one backward scan per period.
 
 The small polynomial helpers (poly_from_roots, eval_fraction, poly_at_matrix)
-build test inputs and evaluate them exactly; the package has no use for them.
+build test inputs and evaluate them exactly, and check_candidate verifies a
+monic polynomial as a recurrence; the package has no use for them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from fractions import Fraction
 import random
 
 from monodeg.exact import IntMatrix, IntPoly, det, mat_mul
+from monodeg.recur import Recurrence, verify_recurrence
 
 
 def poly_from_roots(roots: list[int]) -> IntPoly:
@@ -46,6 +50,29 @@ def poly_at_matrix(p: IntPoly, a: IntMatrix) -> IntMatrix:
     for c in reversed(p.coeffs):
         acc = mat_mul(acc, a).add(IntMatrix.identity(k).scale(c))
     return acc
+
+
+def check_candidate(seq: list[int], p: IntPoly) -> int | None:
+    """Treat a monic integer polynomial as a recurrence and verify it."""
+    if not p.is_monic or p.degree < 1:
+        raise ValueError("candidate polynomial must be monic of degree >= 1")
+    if len(seq) < p.degree + 2:
+        raise ValueError("sequence too short for this candidate")
+    return verify_recurrence(seq, Recurrence.from_poly(p))
+
+
+def eventually_periodic_oracle(symbols, window: int) -> tuple[int, int] | None:
+    """Minimal (preperiod, period) by trying every pair: period first, then
+    preperiod, each checked on the whole remaining tail."""
+    n = len(symbols)
+    if not 0 < window <= n:
+        raise ValueError("window must satisfy 0 < window <= len(symbols)")
+    pre_cap = n - window
+    for period in range(1, n // 2 + 1):
+        for pre in range(0, min(pre_cap, n - 2 * period) + 1):
+            if all(symbols[i] == symbols[i + period] for i in range(pre, n - period)):
+                return pre, period
+    return None
 
 
 def homogenization_degree(a: IntMatrix) -> int:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from monodeg.cells import PERIODIC, STABILIZED, cell_trace
 from monodeg.degree import degree, degree_sequence, functional_set
 from monodeg.exact import IntPoly, char_poly
-from monodeg.recur import berlekamp_massey, check_candidate, find_recurrence
+from monodeg.recur import berlekamp_massey, find_recurrence
 from monodeg.spectra import ratio_polynomial, unity_ratio_orders
 from monodeg.verdict import (
     NO_RECURRENCE_PROVEN,
@@ -32,7 +32,7 @@ from conftest import (
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
 )
-from oracles import homogenization_degree, random_rank_matrix
+from oracles import check_candidate, homogenization_degree, random_rank_matrix
 
 
 @contextmanager

@@ -1,11 +1,20 @@
+import random
+
 import pytest
 
 from monodeg.cells import PERIODIC, STABILIZED, UNRESOLVED, cell_trace, detect_stabilization
-from monodeg.degree import FunctionalIndex, degree, functional_value
+from monodeg.degree import (
+    FunctionalIndex,
+    cell_and_degree,
+    degree,
+    degree_sequence,
+    functional_value,
+)
 from monodeg.errors import RankDeficient
 from monodeg.exact import IntMatrix, mat_pow
 
 from conftest import NO_RECURRENCE_3X3, QUARTER_ROTATION, TRIBONACCI_COMPANION
+from oracles import random_rank_matrix
 
 
 class TestDetectStabilization:
@@ -84,3 +93,15 @@ class TestCellTrace:
     def test_tie_counts_positive(self):
         trace = cell_trace(QUARTER_ROTATION, 12)
         assert all(t >= 1 for t in trace.tie_counts)
+
+    def test_walk_matches_matrix_powers(self):
+        # k = 1 exercises the row-sum max over a single row
+        rng = random.Random(12)
+        for k in range(1, 7):
+            a = random_rank_matrix(rng, k, -3, 3)
+            trace = cell_trace(a, 60)
+            expected = [cell_and_degree(mat_pow(a, n)) for n in range(1, 61)]
+            assert trace.representatives == tuple(rep for rep, _, _ in expected)
+            assert trace.tie_counts == tuple(tie for _, tie, _ in expected)
+            assert trace.degrees == tuple(d for _, _, d in expected)
+            assert degree_sequence(a, 60).terms == trace.degrees

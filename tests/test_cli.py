@@ -203,6 +203,16 @@ class TestAnalyzeCommand:
         assert payload["consistency"]["status"] == "CONSISTENT"
         assert payload["verdicts"]["d1"]["classification"] == "NO_RECURRENCE_PROVEN"
 
+    def test_refuted_candidate_is_not_reported(self):
+        # the order-12 relation of the test above fails on the doubled
+        # window, so the report must not print it as the recurrence
+        code, out = run_cli(
+            ["analyze", "-m", "[[2,3,-1],[-3,1,1],[1,3,1]]", "-n", "200", "--format", "json"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["recurrence"] is None
+        assert '"recurrence": null' in out
+
     def test_stripped_fit_is_not_reported_without_the_tail(self):
         # the fit's x^j-free part only agrees on a bare suffix, which must not
         # count as a recurrence of a proven non-recurrence

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import monodeg.recur as recur_mod
@@ -12,14 +12,13 @@ from monodeg.exact import IntPoly
 from monodeg.recur import (
     Recurrence,
     berlekamp_massey,
-    check_candidate,
     eventually_periodic,
     find_recurrence,
     verify_recurrence,
 )
 
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE
-from oracles import hankel_min_order
+from oracles import check_candidate, eventually_periodic_oracle, hankel_min_order
 
 
 def run_recurrence(coeffs, seeds, n):
@@ -241,6 +240,42 @@ class TestEventuallyPeriodic:
         assert pre == 2
         assert all(indicator[i] == indicator[i + 3] for i in range(pre, 37))
         assert indicator[pre - 1] != indicator[pre - 1 + 3]
+
+    def test_comparisons_are_linear(self):
+        # 250 random symbols, then 150 of period 6: the tail is too short for
+        # window 200, so every period is tried; the triple loop makes about
+        # 46k comparisons here, one backward scan per period about 2k
+        calls = [0]
+
+        class Symbol:
+            def __init__(self, value):
+                self.value = value
+
+            def __eq__(self, other):
+                calls[0] += 1
+                return self.value == other.value
+
+        rng = random.Random(6)
+        block = (0, 1, 2, 0, 2, 1)
+        values = [rng.randrange(3) for _ in range(250)] + [block[i % 6] for i in range(150)]
+        n = len(values)
+        hit = eventually_periodic([Symbol(v) for v in values], window=200)
+        assert hit == eventually_periodic_oracle(values, window=200)
+        assert calls[0] < 10 * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_detector_matches_triple_loop_oracle(alphabet, data):
+    symbol = st.integers(0, alphabet - 1)
+    head = data.draw(st.lists(symbol, max_size=60))
+    block = data.draw(st.lists(symbol, min_size=1, max_size=8))
+    planted = data.draw(st.integers(0, 60 - len(head)))  # 0: no periodic tail
+    seq = head + [block[i % len(block)] for i in range(planted)]
+    assume(seq)
+    n = len(seq)
+    for window in (1, (n + 1) // 2, n):
+        assert eventually_periodic(seq, window) == eventually_periodic_oracle(seq, window)
 
 
 class TestRecurrenceType:

@@ -27,7 +27,7 @@ from conftest import (
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
 )
-from oracles import random_rank_matrix, random_unimodular
+from oracles import check_candidate, random_rank_matrix, random_unimodular
 
 
 class TestClassifyD1:
@@ -55,8 +55,6 @@ class TestClassifyD1:
         assert 2 in v.details["unity_orders"]
         # the attached recurrence annihilates the actual degree sequence
         seq = degree_sequence(QUARTER_ROTATION, 24).terms
-        from monodeg.recur import check_candidate
-
         p = v.recurrence.char_poly()
         assert p is not None
         assert check_candidate(seq, p) is not None
@@ -72,8 +70,6 @@ class TestClassifyD1:
         assert v.classification == RECURRENCE_PROVEN
         assert v.basis == THM_1_1_PART1  # dominant eigenvalue real but negative
         seq = degree_sequence(a, 20).terms
-        from monodeg.recur import check_candidate
-
         assert check_candidate(seq, v.recurrence.char_poly()) is not None
 
     def test_rank_deficient(self):
@@ -263,8 +259,6 @@ class TestCorpusProperties:
                 # window can reach the verified tail (order can exceed 2k^2
                 # and the offset can lie past the start of the fit window,
                 # see the regression tests below)
-                from monodeg.recur import check_candidate
-
                 k = a.k
                 p = v1.recurrence.char_poly()
                 assert p is not None
@@ -289,8 +283,6 @@ class TestCorpusProperties:
         assert find_recurrence(seq, 8, 16) is None
         found = find_recurrence(seq, 12, 16)
         assert found is not None and found.order == 12
-        from monodeg.recur import check_candidate
-
         assert check_candidate(seq, v.recurrence.char_poly()) is not None
 
     def test_slow_cell_stabilization_regression(self):
@@ -301,8 +293,6 @@ class TestCorpusProperties:
         v = classify_d1(a)
         assert v.classification == RECURRENCE_PROVEN
         assert v.basis == THM_1_1_PART1
-        from monodeg.recur import check_candidate
-
         seq = degree_sequence(a, 150).terms
         offset = check_candidate(seq, v.recurrence.char_poly())
         assert offset is not None
