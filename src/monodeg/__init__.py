@@ -37,7 +37,6 @@ from .exact import (
     mat_mul,
     mat_pow,
     poly_gcd,
-    resultant_in_y,
 )
 from .recur import (
     Recurrence,

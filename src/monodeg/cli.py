@@ -10,6 +10,7 @@ inconsistency from the cross check, 4 unresolved certification under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -414,7 +415,10 @@ def _render_analysis_tail(payload: dict[str, Any], out) -> None:
 # Entry points
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing never mutates
+    it)."""
     parser = argparse.ArgumentParser(
         prog="monodeg",
         description="Exact degree sequences of monomial maps: analysis and verdicts.",

@@ -2,10 +2,9 @@
 
 Everything here is exact; no machine floats appear.  Matrix determinants use
 fraction-free Bareiss elimination, characteristic polynomials use
-Faddeev-LeVerrier (all interior divisions are exact by construction), and
-polynomial resultants use the subresultant remainder sequence over the
-coefficient ring, validated in the test suite against a Sylvester-determinant
-oracle.
+Faddeev-LeVerrier, and conversions between the coefficients of a monic
+polynomial and the power sums of its roots use Newton's identities (the
+interior divisions of both are exact by construction).
 
 Values are immutable and operations are pure functions, so the module is safe
 for concurrent use.  The only shared state is the cyclotomic cache, whose
@@ -16,11 +15,6 @@ Conventions
 * ``IntPoly`` stores coefficients in ascending order with no trailing zeros;
   the zero polynomial is the empty tuple.
 * ``poly_gcd`` returns the primitive gcd with positive leading coefficient.
-* ``resultant_in_y`` returns the true resultant of the two inputs viewed as
-  polynomials in ``y``: the Sylvester determinant with the rows of the first
-  argument on top, equal to ``lc(f)^{deg g} * prod g(alpha_i)`` over the
-  roots of ``f`` (so a degree-one first argument ``y - c`` yields ``g(c)``
-  exactly); swapping arguments flips the sign by ``(-1)^{deg f * deg g}``.
 """
 
 from __future__ import annotations
@@ -107,19 +101,6 @@ class IntPoly:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return IntPoly(out)
-
-    def scale(self, c: int) -> IntPoly:
-        return IntPoly(tuple(c * x for x in self.coeffs))
-
-    def pow(self, n: int) -> IntPoly:
-        result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -226,13 +207,13 @@ class IntPoly:
         return " ".join(parts)
 
 
-def _pseudo_rem(a: Sequence, b: Sequence) -> list:
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Strict pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b.
 
-    Coefficient lists run ascending with no trailing zeros; entries are ints
-    (univariate) or IntPolys (polynomials in y over Z[x]).  The full power of
-    lc(b) is applied even when intermediate leading coefficients vanish; the
-    subresultant divisions below rely on that.  Needs deg a >= deg b.
+    Integer coefficient lists run ascending with no trailing zeros.  The full
+    power of lc(b) is applied even when intermediate leading coefficients
+    vanish: the sign correction in ``spectra._sturm_chain`` depends on that
+    exact exponent.  Needs deg a >= deg b.
     """
     da, db = len(a) - 1, len(b) - 1
     if db < 0:
@@ -270,6 +251,45 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if a.degree == 0:
         return IntPoly((1,))
     return a.primitive_positive()
+
+
+# ---------------------------------------------------------------------------
+# Power sums (Newton's identities)
+# ---------------------------------------------------------------------------
+
+def _power_sums(p: IntPoly, n: int) -> list[int]:
+    """Power sums s_1..s_n of the roots of the monic integer polynomial p.
+
+    Newton's identities: with p = x^d + c_(d-1) x^(d-1) + ... + c_0 and
+    c_j = 0 for j < 0,  s_m = -m*c_(d-m) - sum_(i=1..min(m-1, d)) c_(d-i) s_(m-i).
+    """
+    d, c = p.degree, p.coeffs
+    s = [d]  # s_0
+    for m in range(1, n + 1):
+        acc = -m * c[d - m] if m <= d else 0
+        for i in range(1, min(m - 1, d) + 1):
+            acc -= c[d - i] * s[m - i]
+        s.append(acc)
+    return s[1:]
+
+
+def _from_power_sums(sums: Sequence[int]) -> IntPoly:
+    """The monic integer polynomial of degree n = len(sums) whose roots have
+    the power sums s_1..s_n given.
+
+    Newton's identities solved for the coefficients:
+    m*c_(n-m) = -sum_(i=1..m) c_(n-m+i) s_i with c_n = 1.  Every division by
+    m is exact when the sums are those of a monic integer polynomial;
+    otherwise ArithmeticError is raised.
+    """
+    n = len(sums)
+    c = [0] * n + [1]
+    for m in range(1, n + 1):
+        q, r = divmod(-sum(map(operator.mul, c[n - m + 1:], sums[:m])), m)
+        if r:
+            raise ArithmeticError("power sums of no monic integer polynomial")
+        c[n - m] = q
+    return IntPoly(c)
 
 
 # ---------------------------------------------------------------------------
@@ -324,75 +344,6 @@ def orders_with_phi_at_most(bound: int) -> tuple[int, ...]:
         return ()
     cap = 2 * bound * bound
     return tuple(m for m in range(1, cap + 1) if euler_phi(m) <= bound)
-
-
-# ---------------------------------------------------------------------------
-# Bivariate resultants (polynomials in y with IntPoly coefficients)
-# ---------------------------------------------------------------------------
-
-PolyInY = Sequence[IntPoly]  # ascending powers of y
-
-
-def _strip_y(f: PolyInY) -> list[IntPoly]:
-    out = list(f)
-    while out and out[-1].is_zero:
-        out.pop()
-    return out
-
-
-def resultant_in_y(f: PolyInY, g: PolyInY) -> IntPoly:
-    """Resultant with respect to y of two polynomials with IntPoly coefficients.
-
-    Subresultant remainder sequence (exact divisions only); the result is the
-    genuine Sylvester determinant including its sign.  Both inputs must be
-    nonzero in y.
-    """
-    a = _strip_y(f)
-    b = _strip_y(g)
-    if not a or not b:
-        raise ValueError("resultant of a zero polynomial is not defined here")
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0 and db == 0:
-        return IntPoly((1,))
-    if da == 0:
-        return a[0].pow(db)
-    if db == 0:
-        return b[0].pow(da)
-    sign = 1
-    if da < db:
-        a, b = b, a
-        if (da * db) % 2 == 1:
-            sign = -sign
-    one = IntPoly((1,))
-    g_ = one
-    h = one
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = _strip_y(_pseudo_rem(a, b))
-        if not r:
-            # db > 0 here, so a common factor of positive degree exists
-            return IntPoly()
-        a = b
-        divisor = g_ * h.pow(delta)
-        b = [c.exact_div(divisor) for c in r]
-        g_ = a[-1]
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h = g_
-        else:
-            h = g_.pow(delta).exact_div(h.pow(delta - 1))
-        if len(b) - 1 == 0:
-            dA = len(a) - 1
-            lb = b[0]
-            if dA == 1:
-                res = lb
-            else:
-                res = lb.pow(dA).exact_div(h.pow(dA - 1))
-            return res.scale(sign) if sign < 0 else res
 
 
 # ---------------------------------------------------------------------------

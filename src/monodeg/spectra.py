@@ -3,10 +3,12 @@
 Two layers cooperate here.
 
 Exact layer: characteristic polynomials, Yun squarefree decomposition, the
-product polynomial Q(z) = Res_y(p(y), y^d p(z/y)) whose roots are all pairwise
-eigenvalue products (so every |lambda|^2 appears among its real roots), the
-ratio polynomial Res_y(p(y), p(x*y)) whose roots are all eigenvalue ratios,
-and cyclotomic divisibility tests deciding which ratios are roots of unity.
+product polynomial prod_(i<=j) (z - lambda_i*lambda_j) (so every |lambda|^2
+appears among its real roots), the ratio polynomial Res_y(p(y), p(x*y)) whose
+roots are all eigenvalue ratios lambda_j/lambda_i, and cyclotomic
+divisibility tests deciding which ratios are roots of unity.  The product and
+ratio polynomials are symmetric functions of the eigenvalues and are built
+from integer power sums with Newton's identities, not from resultants.
 
 Certified numeric layer: root isolation with rational centers and radii.
 Floating point only proposes starting points: a double-precision Aberth
@@ -41,13 +43,14 @@ from .errors import RankDeficient, UnresolvedCertification
 from .exact import (
     IntMatrix,
     IntPoly,
+    _from_power_sums,
+    _power_sums,
     _pseudo_rem,
     char_poly,
     cyclotomic,
     det,
     orders_with_phi_at_most,
     poly_gcd,
-    resultant_in_y,
 )
 
 GT = "GT"
@@ -687,12 +690,30 @@ def isolate_roots(p: IntPoly, eps: Fraction) -> list[RootBox]:
 
 # -- modulus comparison machinery -------------------------------------------
 
+def _monic_scaled(p: IntPoly) -> IntPoly:
+    """q(x) = lc^(d-1) * p(x/lc): monic with integer coefficients, and its
+    roots are lc * root for each root of p.  Ratios of roots are unchanged."""
+    d, a = p.degree, p.lc
+    return IntPoly(tuple(c * a ** (d - 1 - i) for i, c in enumerate(p.coeffs[:-1])) + (1,))
+
+
 def _product_poly(p: IntPoly) -> IntPoly:
-    """Q(z) = Res_y(p(y), y^d p(z/y)); roots are all products of two roots."""
+    """A nonzero integer multiple of prod_(i<=j) (z - root_i*root_j): its
+    roots are all products of two roots of p, so every |root|^2 is among its
+    real roots.
+
+    Built from power sums (the symmetric square of Bostan, Flajolet, Salvy and
+    Schost, "Fast computation of special resultants", 2006): when the roots
+    mu_i = lc*root_i of the monic q = _monic_scaled(p) have power sums s_m,
+    the products mu_i*mu_j (i <= j) have power sums (s_m^2 + s_2m)/2.  The
+    polynomial with those roots is then scaled back by z -> lc^2 * z.
+    """
     d = p.degree
-    f_y = [IntPoly((c,)) for c in p.coeffs]
-    g_y = [IntPoly((0,) * (d - j) + (p.coeff(d - j),)) for j in range(d + 1)]
-    return resultant_in_y(f_y, g_y)
+    n = d * (d + 1) // 2
+    s = _power_sums(_monic_scaled(p), 2 * n)
+    sq = _from_power_sums([(s[m - 1] ** 2 + s[2 * m - 1]) // 2 for m in range(1, n + 1)])
+    a2 = p.lc * p.lc
+    return IntPoly(tuple(c * a2 ** i for i, c in enumerate(sq.coeffs)))
 
 
 def _modsq_interval(handle, sqrt_bits: int) -> tuple[Fraction, Fraction]:
@@ -866,18 +887,29 @@ def _expand_classes(
 def ratio_polynomial(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     """(full, reduced) ratio polynomials for a degree-k polynomial, p(0) != 0.
 
-    full = Res_y(p(y), p(x*y)) has degree k^2 and vanishes exactly at the
-    ratios root_j / root_i; reduced divides out the k diagonal ratios
+    full = lc(p)^k * ((-1)^k p(0))^k * prod_(i,j) (x - root_j/root_i), which
+    is Res_y(p(y), p(x*y)) with its sign; it has degree k^2 and vanishes
+    exactly at the ratios.  reduced divides out the k diagonal ratios
     (x - 1)^k exactly.
+
+    Built from power sums: with mu_i the roots of the monic q = _monic_scaled(p)
+    and c = q(0), the monic integer polynomial with roots c/mu_i (the
+    reversal of q, scaled) has power sums t_m, and the products s_m*t_m are
+    the power sums of the roots c*root_j/root_i.  Scaling back by x -> c*x
+    divides each coefficient by a power of c, exactly.
     """
     k = p.degree
     if k < 1:
         raise ValueError("ratio polynomial needs degree at least 1")
     if p.constant == 0:
         raise ValueError("zero eigenvalue: ratios are undefined")
-    f_y = [IntPoly((c,)) for c in p.coeffs]
-    g_y = [IntPoly((0,) * i + (p.coeff(i),)) for i in range(k + 1)]
-    full = resultant_in_y(f_y, g_y)
+    q = _monic_scaled(p)
+    c = q.constant
+    n = k * k
+    s, t = _power_sums(q, n), _power_sums(_monic_scaled(q.reversed_coeffs()), n)
+    scaled = _from_power_sums([sm * tm for sm, tm in zip(s, t)])
+    factor = (-p.lc * p.constant) ** k
+    full = IntPoly(tuple(factor * b // c ** (n - i) for i, b in enumerate(scaled.coeffs)))
     reduced = full
     x_minus_1 = IntPoly((-1, 1))
     for _ in range(k):

@@ -5,7 +5,7 @@ These deliberately avoid the production code paths they check:
 * homogenization_degree clears the map's homogeneous coordinates by exponent
   bookkeeping instead of using the closed degree formula;
 * sylvester_resultant_in_y expands the Sylvester matrix and eliminates it
-  fraction-free instead of running a remainder sequence;
+  fraction-free instead of composing power sums;
 * hankel_min_order recovers the minimal annihilator order from exact Hankel
   ranks instead of Berlekamp-Massey;
 * polyroots_oracle approximates every complex root to 100 digits with
@@ -13,9 +13,10 @@ These deliberately avoid the production code paths they check:
 * eventually_periodic_oracle tries every (period, preperiod) pair and
   rescans the whole tail for each instead of one backward scan per period.
 
-The small polynomial helpers (poly_from_roots, eval_fraction, poly_at_matrix)
-build test inputs and evaluate them exactly, and check_candidate verifies a
-monic polynomial as a recurrence; the package has no use for them.
+The small polynomial helpers (poly_from_roots, poly_pow, eval_fraction,
+poly_at_matrix) build test inputs and evaluate them exactly, and
+check_candidate verifies a monic polynomial as a recurrence; the package has
+no use for them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def poly_from_roots(roots: list[int]) -> IntPoly:
     for r in roots:
         p = p * IntPoly((-r, 1))
     return p
+
+
+def poly_pow(p: IntPoly, n: int) -> IntPoly:
+    """p^n by repeated multiplication, n >= 0."""
+    result = IntPoly((1,))
+    for _ in range(n):
+        result = result * p
+    return result
 
 
 def eval_fraction(p: IntPoly, x: Fraction) -> Fraction:
@@ -117,7 +126,7 @@ def _bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
             m[i][r] = IntPoly()
         prev = pivot
     result = m[n - 1][n - 1]
-    return result.scale(-1) if sign < 0 else result
+    return -result if sign < 0 else result
 
 
 def sylvester_resultant_in_y(f: list[IntPoly], g: list[IntPoly]) -> IntPoly:
@@ -132,9 +141,9 @@ def sylvester_resultant_in_y(f: list[IntPoly], g: list[IntPoly]) -> IntPoly:
     if m == 0 and n == 0:
         return IntPoly((1,))
     if m == 0:
-        return fs[0].pow(n)
+        return poly_pow(fs[0], n)
     if n == 0:
-        return gs[0].pow(m)
+        return poly_pow(gs[0], m)
     size = m + n
     zero = IntPoly()
     rows: list[list[IntPoly]] = []

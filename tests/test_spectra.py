@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monodeg
 from monodeg import spectra
@@ -26,7 +28,12 @@ from monodeg.spectra import (
 )
 
 from conftest import NO_RECURRENCE_3X3, PAIR_2X2, QUARTER_ROTATION
-from oracles import polyroots_oracle, random_rank_matrix
+from oracles import (
+    polyroots_oracle,
+    poly_pow,
+    random_rank_matrix,
+    sylvester_resultant_in_y,
+)
 
 HP_CHAR = IntPoly((-1, 1, 1, 1))  # t^3 + t^2 + t - 1
 TRIB_CHAR = IntPoly((-1, -1, -1, 1))  # t^3 - t^2 - t - 1
@@ -65,7 +72,7 @@ class TestSquarefreePart:
             sf, factors = squarefree_part(p)
             rebuilt = IntPoly((1,))
             for f, m in factors:
-                rebuilt = rebuilt * f.pow(m)
+                rebuilt = rebuilt * poly_pow(f, m)
             assert rebuilt == p.primitive_positive()
 
 
@@ -309,6 +316,72 @@ class TestRatioPolynomial:
             assert rebuilt == full
             rev = reduced.reversed_coeffs().primitive_positive()
             assert rev == reduced.primitive_positive()
+
+
+def _oracle_ratio_full(p: IntPoly) -> IntPoly:
+    """Res_y(p(y), p(x*y)) as a Sylvester determinant."""
+    f_y = [IntPoly((c,)) for c in p.coeffs]
+    g_y = [IntPoly((0,) * i + (c,)) for i, c in enumerate(p.coeffs)]
+    return sylvester_resultant_in_y(f_y, g_y)
+
+
+def _oracle_product_sf(p: IntPoly) -> IntPoly:
+    """Squarefree part of Res_y(p(y), y^d p(z/y)), roots all root_i*root_j."""
+    d = p.degree
+    f_y = [IntPoly((c,)) for c in p.coeffs]
+    g_y = [IntPoly((0,) * (d - j) + (p.coeff(d - j),)) for j in range(d + 1)]
+    return squarefree_part(sylvester_resultant_in_y(f_y, g_y))[0]
+
+
+def _assert_matches_oracle(p: IntPoly) -> None:
+    assert ratio_polynomial(p)[0] == _oracle_ratio_full(p)
+    assert squarefree_part(spectra._product_poly(p))[0] == _oracle_product_sf(p)
+
+
+class TestPowerSumConstructionOracle:
+    """Product and ratio polynomials against the Sylvester determinant: the
+    exact value and sign of the full ratio polynomial, and the squarefree
+    part of the product polynomial."""
+
+    def test_repeated_eigenvalues(self):
+        for a in (
+            IntMatrix(((1, 1), (0, 1))),
+            IntMatrix(((-1, 0, 0), (0, -1, 0), (0, 0, -1))),
+            IntMatrix(((2, 1, 0), (0, 2, 0), (0, 0, -2))),
+        ):
+            _assert_matches_oracle(char_poly(a))
+
+    def test_non_monic(self):
+        for coeffs in ((3, -2, 2), (-1, 0, 0, 4), (2, 1, -3, 0, 5), (6, 0, -9)):
+            _assert_matches_oracle(IntPoly(coeffs))
+
+    def test_degree_one(self):
+        for coeffs in ((3, 1), (-2, 1), (5, -4), (1, 7)):
+            _assert_matches_oracle(IntPoly(coeffs))
+
+    def test_unit_roots(self):
+        # roots +1 and -1, alone and next to non-unit roots
+        for roots in ([1], [-1], [1, -1], [1, 1, 2], [-1, 3, -3], [1, -1, 2, -2]):
+            p = IntPoly((1,))
+            for r in roots:
+                p = p * IntPoly((-r, 1))
+            _assert_matches_oracle(p)
+
+    def test_char_polys(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            a = random_rank_matrix(rng, rng.choice([2, 3, 4]), -3, 3)
+            _assert_matches_oracle(char_poly(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-5, 5).filter(bool),
+        st.lists(st.integers(-5, 5), max_size=4),
+        st.integers(-5, 5).filter(bool),
+    )
+    def test_property(self, constant, middle, lead):
+        # degree 1..5 with p(0) != 0
+        _assert_matches_oracle(IntPoly([constant, *middle, lead]))
 
 
 class TestUnityRatioOrders:
