@@ -31,7 +31,7 @@ from .errors import (
 from .exact import IntMatrix, char_poly, det
 from .recur import Recurrence, find_recurrence
 from .spectra import SpectralSummary
-from .verdict import Verdict, classify_d1, classify_dual, cross_check
+from .verdict import Verdict, _dual_from_forward, classify_d1, cross_check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -265,9 +265,7 @@ def _cmd_recurrence(a: IntMatrix, args, out) -> int:
 def _cmd_verdict(a: IntMatrix, args, out) -> int:
     bits = args.precision
     d1 = classify_d1(a, bits)
-    dual = None
-    if det(a) in (1, -1):
-        dual = classify_dual(a, bits)
+    dual = _dual_from_forward(d1) if det(a) in (1, -1) else None
     payload: dict[str, Any] = {
         "input": [list(r) for r in a.rows],
         "d1": d1.classification,
@@ -315,7 +313,7 @@ def _cmd_analyze(a: IntMatrix, args, out) -> int:
     report = cross_check(a, seq_len, max_order, bits, guard)
     d1 = report.verdict
     d = det(a)
-    dual = classify_dual(a, bits) if d in (1, -1) else None
+    dual = _dual_from_forward(d1) if d in (1, -1) else None
     if d1.summary is None:
         spectrum = {"unresolved": f"unresolved: {d1.details['unresolved']}"}
     else:

@@ -1,10 +1,10 @@
 """Exact arithmetic kernel: big-integer matrices and integer polynomials.
 
 Everything here is exact; no machine floats appear.  Matrix determinants use
-fraction-free Bareiss elimination, characteristic polynomials use
-Faddeev-LeVerrier, and conversions between the coefficients of a monic
-polynomial and the power sums of its roots use Newton's identities (the
-interior divisions of both are exact by construction).
+fraction-free Bareiss elimination, characteristic polynomials and unimodular
+inverses one Faddeev-LeVerrier pass, and conversions between the coefficients
+of a monic polynomial and the power sums of its roots Newton's identities
+(the interior divisions of both are exact by construction).
 
 Values are immutable and operations are pure functions, so the module is safe
 for concurrent use.  The only shared state is the cyclotomic cache, whose
@@ -378,22 +378,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.rows)
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.k))
-
-    def add(self, other: IntMatrix) -> IntMatrix:
-        if self.k != other.k:
-            raise DimensionMismatch("matrix dimensions differ")
-        return IntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def scale(self, c: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
-
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -467,46 +451,38 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def char_poly(a: IntMatrix) -> IntPoly:
-    """Characteristic polynomial det(tI - A), monic of degree k.
+def _faddeev_leverrier(a: IntMatrix) -> tuple[IntPoly, Rows]:
+    """chi_A = det(tI - A) and the last Faddeev-LeVerrier matrix M_k.
 
-    Faddeev-LeVerrier recursion; every interior division by the step index is
-    exact (the traces are integer multiples by construction).
+    M_1 = I, M_(s+1) = A*M_s + c_(k-s)*I with c_(k-s) = -tr(A*M_s)/s, an exact
+    division.  Cayley-Hamilton gives M_(k+1) = 0, so A*M_k = -c_0*I.  Each
+    M_s commutes with A, so A*M_s is taken as M_s*A with A's columns read once.
     """
     k = a.k
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    m_prev = IntMatrix.identity(k)  # M_1
-    am = mat_mul(a, m_prev)
-    coeffs[k - 1] = -am.trace()
-    for step in range(2, k + 1):
-        m_prev = am.add(IntMatrix.identity(k).scale(coeffs[k - step + 1]))
-        am = mat_mul(a, m_prev)
-        tr = am.trace()
-        if tr % step != 0:
+    cols = tuple(zip(*a.rows))
+    coeffs = [0] * k + [1]
+    am = ((0,) * k,) * k  # A*M_0, so that M_1 = A*M_0 + c_k*I = I
+    for s in range(1, k + 1):
+        c = coeffs[k - s + 1]
+        m = tuple(tuple(x + c * (i == j) for j, x in enumerate(r)) for i, r in enumerate(am))
+        am = _product_rows(m, cols)
+        tr = sum(am[i][i] for i in range(k))
+        if tr % s != 0:
             raise ArithmeticError("Faddeev-LeVerrier trace division not exact")
-        coeffs[k - step] = -(tr // step)
-    return IntPoly(coeffs)
+        coeffs[k - s] = -(tr // s)
+    return IntPoly(coeffs), m
+
+
+def char_poly(a: IntMatrix) -> IntPoly:
+    """Characteristic polynomial det(tI - A), monic of degree k."""
+    return _faddeev_leverrier(a)[0]
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1 (adjugate route)."""
-    d = det(a)
-    if d not in (1, -1):
-        raise NotUnimodular(f"matrix has determinant {d}, expected +-1")
-    n = a.k
-    if n == 1:
-        return IntMatrix(((d,),))
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = IntMatrix(
-                tuple(
-                    tuple(a.rows[r][c] for c in range(n) if c != j)
-                    for r in range(n)
-                    if r != i
-                )
-            )
-            cof[i][j] = (-1) ** (i + j) * det(minor)
-    # inverse = adj / det = transpose(cof) * det  (det is +-1)
-    return IntMatrix(tuple(tuple(d * cof[j][i] for j in range(n)) for i in range(n)))
+    """Exact integer inverse of a matrix with determinant +-1: A^-1 = -c_0*M_k,
+    since c_0 = chi_A(0) = (-1)^k det A is then +-1."""
+    chi, m = _faddeev_leverrier(a)
+    c0 = chi.constant
+    if c0 not in (1, -1):
+        raise NotUnimodular(f"matrix has determinant {(-1) ** a.k * c0}, expected +-1")
+    return IntMatrix(tuple(tuple(-c0 * x for x in row) for row in m))

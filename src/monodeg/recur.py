@@ -5,14 +5,15 @@ such that
 
     s[n+m] + a_{m-1}*s[n+m-1] + ... + a0*s[n] = 0
 
-for all n past some offset.  All arithmetic is over exact rationals; nothing
-here ever claims nonexistence of a recurrence, it only reports what a bounded
-search did or did not find.
+for all n past some offset.  All arithmetic is exact (rationals cleared to
+integers); nothing here ever claims nonexistence of a recurrence, it only
+reports what a bounded search did or did not find.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -145,21 +146,22 @@ def verify_recurrence(seq: Sequence[int | Fraction], rec: Recurrence) -> int | N
     """Least 1-based offset from which the recurrence holds through the end.
 
     Returns None (failure) when the verified suffix would be shorter than
-    twice the order; shorter agreement is considered no evidence.
+    twice the order; shorter agreement is considered no evidence.  With both
+    sides' denominators cleared (L for the relation) each check is
+    L*s[n+m] + sum_i c_i*s[n+i] == 0 in integers, scanned backward from the
+    end up to the first failure, the only one the result depends on.
     """
     m = rec.order
     n_terms = len(seq)
     if n_terms < m + 1:
         raise ValueError("sequence too short to check this recurrence")
-    s = [Fraction(x) for x in seq]
-    last_bad = 0  # 1-based index of the last failing relation
-    for n in range(n_terms - m):  # relation at 1-based index n+1
-        val = s[n + m]
-        for i in range(m):
-            val += rec.coefficients[i] * s[n + i]
-        if val != 0:
-            last_bad = n + 1
-    valid_from = last_bad + 1
+    s = _clear_denominators(seq)
+    lcm = math.lcm(*(c.denominator for c in rec.coefficients))
+    cs = [c.numerator * (lcm // c.denominator) for c in rec.coefficients]
+    n = n_terms - m - 1  # relation at 1-based index n+1
+    while n >= 0 and lcm * s[n + m] + sum(map(operator.mul, cs, s[n : n + m])) == 0:
+        n -= 1
+    valid_from = n + 2
     if n_terms - valid_from + 1 < 2 * m:
         return None
     return valid_from

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import RankDeficient, UnresolvedCertification
+from .errors import NotUnimodular, RankDeficient, UnresolvedCertification
 from .exact import (
     IntMatrix,
     IntPoly,
@@ -590,7 +590,6 @@ class ModulusClass:
 
     indices: tuple[int, ...]
     versus_one: str  # GT | EQ | LT
-    modulus_sq_span: tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -825,17 +824,9 @@ def _partition_by_modulus(
         groups.setdefault(key, []).append(i)
         reps[key] = rec
     keyed = sorted(groups, key=lambda k: reps[k].span()[0], reverse=True)
-    classes = []
-    for key in keyed:
-        rec = reps[key]
-        classes.append(
-            ModulusClass(
-                indices=tuple(groups[key]),
-                versus_one=_versus_one(rec, cap_bits),
-                modulus_sq_span=rec.span(),
-            )
-        )
-    return tuple(classes)
+    return tuple(
+        ModulusClass(tuple(groups[key]), _versus_one(reps[key], cap_bits)) for key in keyed
+    )
 
 
 def modulus_classes(p: IntPoly, cap_bits: int = 256) -> ModulusClassification:
@@ -865,21 +856,15 @@ def _expand_classes(
     classes: tuple[ModulusClass, ...], ordered_handles: list
 ) -> tuple[ModulusClass, ...]:
     """Translate handle indices to box indices (pairs occupy two box slots)."""
-    base = []
-    pos = 0
+    slots, pos = [], 0
     for h in ordered_handles:
-        base.append((pos, 1 if h.is_real else 2))
-        pos += 1 if h.is_real else 2
-    out = []
-    for cls in classes:
-        idx: list[int] = []
-        for i in cls.indices:
-            start, span = base[i]
-            idx.extend(range(start, start + span))
-        out.append(
-            ModulusClass(tuple(sorted(idx)), cls.versus_one, cls.modulus_sq_span)
-        )
-    return tuple(out)
+        width = 1 if h.is_real else 2
+        slots.append(range(pos, pos + width))
+        pos += width
+    return tuple(
+        ModulusClass(tuple(sorted(j for i in cls.indices for j in slots[i])), cls.versus_one)
+        for cls in classes
+    )
 
 
 # -- eigenvalue ratio machinery ----------------------------------------------
@@ -1052,21 +1037,59 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
 
     # refinement in the steps above only shrank boxes; snapshot them now
     boxes = _boxes_from_ordered(ordered)
-
-    # dominant pair: top class is exactly one non-real conjugate pair
-    dominant_pair = None
-    top = classes[0]
-    if len(top.indices) == 2:
-        i, j = top.indices
-        if (not boxes[i].is_real) and boxes[i].conjugate_partner == j:
-            dominant_pair = (i, j)
     return SpectralSummary(
         char_poly=chi,
         roots=boxes,
         modulus_classes=classes,
-        dominant_pair=dominant_pair,
+        dominant_pair=_dominant_pair(boxes, classes),
         ratio_flags=tuple(flags),
         unity_orders=tuple(orders),
+    )
+
+
+def _dominant_pair(boxes, classes) -> tuple[int, int] | None:
+    """The top modulus class when it is exactly one non-real conjugate pair."""
+    top = classes[0].indices
+    if len(top) == 2 and not boxes[top[0]].is_real and boxes[top[0]].conjugate_partner == top[1]:
+        return top
+    return None
+
+
+def reciprocal_summary(summary: SpectralSummary) -> SpectralSummary:
+    """The spectral summary of A^-1 read off that of a unimodular A.
+
+    * chi_(A^-1) = chi_A(0) * reverse(chi_A), monic since chi_A(0) = +-1;
+    * z -> 1/conj(z) maps the disk |z - c| <= r with |c| > r exactly onto the
+      disk with center c/(|c|^2 - r^2) and radius r/(|c|^2 - r^2).  Every box
+      has |c| > r (real signs are pinned, complex boxes clear the axis), and
+      the map is a bijection that fixes each half-plane and commutes with
+      conjugation: box i holds 1/conj(lambda_i), and pairs, disjointness and
+      box indices carry over;
+    * moduli invert: classes in reversed order, GT and LT swapped;
+    * the conjugate ratio of 1/conj(lambda) is that of lambda, and the set of
+      all ratios is closed under inversion: flags and unity orders stay.
+    """
+    chi = summary.char_poly
+    if chi.constant not in (1, -1):
+        raise NotUnimodular("the reciprocal spectrum needs chi_A(0) = +-1")
+    boxes = []
+    for box in summary.roots:
+        (re, im), r = box.center, box.radius
+        den = re * re + im * im - r * r
+        if den <= 0:
+            raise UnresolvedCertification("a root box reaches 0")
+        boxes.append(replace(box, center=(re / den, im / den), radius=r / den))
+    classes = tuple(
+        ModulusClass(c.indices, {GT: LT, LT: GT}.get(c.versus_one, EQ))
+        for c in reversed(summary.modulus_classes)
+    )
+    return SpectralSummary(
+        char_poly=IntPoly(tuple(chi.constant * c for c in reversed(chi.coeffs))),
+        roots=tuple(boxes),
+        modulus_classes=classes,
+        dominant_pair=_dominant_pair(boxes, classes),
+        ratio_flags=summary.ratio_flags,
+        unity_orders=summary.unity_orders,
     )
 
 
@@ -1088,4 +1111,5 @@ __all__ = [
     "ratio_polynomial",
     "unity_ratio_orders",
     "spectral_summary",
+    "reciprocal_summary",
 ]

@@ -13,9 +13,9 @@ The engine proves one of three outcomes from certified spectral facts:
 * UNKNOWN whenever neither hypothesis literally applies or a certification
   came back unresolved.  The engine never extrapolates.
 
-For the unimodular dual sequence the same classification runs on the inverse
-matrix and is labelled DUALITY_THM_1_2 (3x3), DUALITY_THM_1_3 (4x4) or
-DUALITY_GENERIC.
+The unimodular dual sequence is the inverse map's: the same classification
+runs on the reciprocal summary read off the forward one (same box indices)
+and is labelled DUALITY_THM_1_2 (3x3), DUALITY_THM_1_3 (4x4) or DUALITY_GENERIC.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Any
 from . import cells as cells_mod
 from .cells import CellTrace, cell_trace
 from .degree import DegreeSequence
-from .errors import RankDeficient, UnresolvedCertification, WindowTooShort
-from .exact import IntMatrix, IntPoly, char_poly, det, inverse_unimodular, mat_pow
+from .errors import NotUnimodular, RankDeficient, UnresolvedCertification, WindowTooShort
+from .exact import IntMatrix, IntPoly, _from_power_sums, _power_sums, det
 from .recur import Recurrence, find_recurrence, verify_recurrence
 from .spectra import (
     EQ,
@@ -37,6 +37,7 @@ from .spectra import (
     NOT_ROOT_OF_UNITY,
     ROOT_OF_UNITY,
     SpectralSummary,
+    reciprocal_summary,
     spectral_summary,
 )
 
@@ -59,9 +60,9 @@ INCONSISTENT = "INCONSISTENT"
 class Verdict:
     """Classification with the criterion code and the spectral facts used.
 
-    ``summary`` is the spectral analysis a forward classification ran on
-    (None when it stayed unresolved, and on dual verdicts); it takes no part
-    in comparison or repr.
+    ``summary`` is the spectral summary the classification ran on (the
+    reciprocal one on dual verdicts; None when the forward analysis stayed
+    unresolved); it takes no part in comparison or repr.
     """
 
     classification: str
@@ -75,18 +76,6 @@ class Verdict:
         return self.classification == UNKNOWN
 
 
-def _real_is_positive(summary: SpectralSummary, idx: int) -> bool:
-    # the modulus partition refined real boxes until |center| > radius, so
-    # the box certifies the sign of the root it contains
-    box = summary.roots[idx]
-    re, _ = box.center
-    if re > box.radius:
-        return True
-    if -re > box.radius:
-        return False
-    raise UnresolvedCertification("sign of a real eigenvalue was not pinned")
-
-
 def _modulus_ge_one_indices(summary: SpectralSummary) -> list[int]:
     out: list[int] = []
     for cls in summary.modulus_classes:
@@ -95,18 +84,18 @@ def _modulus_ge_one_indices(summary: SpectralSummary) -> list[int]:
     return sorted(out)
 
 
-def _power_recurrence(a: IntMatrix, tau: int) -> Recurrence:
+def _power_recurrence(chi: IntPoly, tau: int) -> Recurrence:
     """Recurrence carried by char_poly(A^tau) applied with stride tau.
 
     Every linear functional of (A^tau)^n obeys the characteristic polynomial
     of A^tau, so chi_{A^tau}(x^tau) eventually annihilates the degree
     sequence (from the index where each residue class settles into one cell;
-    the offset is recovered separately by exact verification).
+    the offset is recovered separately by exact verification).  chi = chi_A;
+    the power sums of the roots lambda^tau are s_tau, s_2tau, ..., s_ktau.
     """
-    chi_tau = char_poly(mat_pow(a, tau))
+    chi_tau = _from_power_sums(_power_sums(chi, chi.degree * tau)[tau - 1 :: tau])
     stretched = [0] * (chi_tau.degree * tau + 1)
-    for i, c in enumerate(chi_tau.coeffs):
-        stretched[i * tau] = c
+    stretched[::tau] = chi_tau.coeffs
     return Recurrence.from_poly(IntPoly(stretched))
 
 
@@ -123,7 +112,7 @@ def _unity_stride(summary: SpectralSummary) -> int:
     for idx in ge1:
         box = summary.roots[idx]
         if box.is_real:
-            tau = math.lcm(tau, 1 if _real_is_positive(summary, idx) else 2)
+            tau = math.lcm(tau, 1 if box.center[0] > 0 else 2)
         else:
             flag = summary.ratio_flags[idx]
             if flag.kind == ROOT_OF_UNITY and flag.order:
@@ -135,16 +124,17 @@ def classify_d1(a: IntMatrix, precision_bits: int = 256) -> Verdict:
     """Provable classification of the forward degree sequence."""
     if det(a) == 0:
         raise RankDeficient("classification needs a matrix of full rank")
-    summary = None
     try:
         summary = spectral_summary(a, precision_bits)
-        verdict = _classify_from_summary(a, summary)
     except UnresolvedCertification as exc:
-        verdict = Verdict(UNKNOWN, None, {"unresolved": str(exc)})
-    return replace(verdict, summary=summary)
+        return Verdict(UNKNOWN, None, {"unresolved": str(exc)})
+    return replace(_classify_from_summary(summary), summary=summary)
 
 
-def _classify_from_summary(a: IntMatrix, summary: SpectralSummary) -> Verdict:
+def _classify_from_summary(summary: SpectralSummary) -> Verdict:
+    # real roots are signed by their box center, which needs |center| > radius
+    if any(b.is_real and abs(b.center[0]) <= b.radius for b in summary.roots):
+        return Verdict(UNKNOWN, None, {"unresolved": "sign of a real eigenvalue was not pinned"})
     ge1 = _modulus_ge_one_indices(summary)
     detail_base: dict[str, Any] = {
         "modulus_ge_one_indices": tuple(ge1),
@@ -181,8 +171,7 @@ def _classify_from_summary(a: IntMatrix, summary: SpectralSummary) -> Verdict:
             h1_unresolved = True
     if h1_holds:
         all_real_positive = all(
-            summary.roots[idx].is_real and _real_is_positive(summary, idx)
-            for idx in ge1
+            summary.roots[idx].is_real and summary.roots[idx].center[0] > 0 for idx in ge1
         )
         if all_real_positive:
             rec = Recurrence.from_poly(summary.char_poly)
@@ -193,7 +182,7 @@ def _classify_from_summary(a: IntMatrix, summary: SpectralSummary) -> Verdict:
                 recurrence=rec,
             )
         stride = _unity_stride(summary)
-        rec = _power_recurrence(a, stride)
+        rec = _power_recurrence(summary.char_poly, stride)
         return Verdict(
             RECURRENCE_PROVEN,
             THM_1_1_PART1,
@@ -233,14 +222,24 @@ def classify_dual(a: IntMatrix, precision_bits: int = 256) -> Verdict:
     Requires a unimodular matrix; the result wraps the classification of the
     inverse with a dimension-specific duality criterion code.
     """
-    inv = inverse_unimodular(a)  # NotUnimodular propagates
-    inner = classify_d1(inv, precision_bits)
+    d = det(a)
+    if d not in (1, -1):
+        raise NotUnimodular(f"matrix has determinant {d}, expected +-1")
+    return _dual_from_forward(classify_d1(a, precision_bits))
+
+
+def _dual_from_forward(forward: Verdict) -> Verdict:
+    """classify_dual from the forward verdict of a unimodular matrix (an
+    unresolved forward analysis leaves the dual UNKNOWN, same details)."""
+    if forward.summary is None:
+        return Verdict(UNKNOWN, None, dict(forward.details))
+    summary = reciprocal_summary(forward.summary)
+    inner = replace(_classify_from_summary(summary), summary=summary)
     if inner.is_unknown:
-        return Verdict(UNKNOWN, None, dict(inner.details))
-    wrapper = {3: DUALITY_THM_1_2, 4: DUALITY_THM_1_3}.get(a.k, DUALITY_GENERIC)
-    details = dict(inner.details)
-    details["inner_basis"] = inner.basis
-    return Verdict(inner.classification, wrapper, details, recurrence=inner.recurrence)
+        return inner
+    k = summary.char_poly.degree
+    wrapper = {3: DUALITY_THM_1_2, 4: DUALITY_THM_1_3}.get(k, DUALITY_GENERIC)
+    return replace(inner, basis=wrapper, details={**inner.details, "inner_basis": inner.basis})
 
 
 @dataclass(frozen=True)

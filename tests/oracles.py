@@ -11,7 +11,9 @@ These deliberately avoid the production code paths they check:
 * polyroots_oracle approximates every complex root to 100 digits with
   mpmath instead of certifying isolating boxes;
 * eventually_periodic_oracle tries every (period, preperiod) pair and
-  rescans the whole tail for each instead of one backward scan per period.
+  rescans the whole tail for each instead of one backward scan per period;
+* verify_recurrence_oracle checks every relation forward over Fractions
+  instead of scanning cleared integers backward.
 
 The small polynomial helpers (poly_from_roots, poly_pow, eval_fraction,
 poly_at_matrix) build test inputs and evaluate them exactly, and
@@ -55,9 +57,12 @@ def eval_fraction(p: IntPoly, x: Fraction) -> Fraction:
 def poly_at_matrix(p: IntPoly, a: IntMatrix) -> IntMatrix:
     """p(A) for an integer polynomial p (Horner with mat_mul)."""
     k = a.k
-    acc = IntMatrix.identity(k).scale(0)
+    acc = IntMatrix(((0,) * k,) * k)
     for c in reversed(p.coeffs):
-        acc = mat_mul(acc, a).add(IntMatrix.identity(k).scale(c))
+        rows = mat_mul(acc, a).rows
+        acc = IntMatrix(
+            tuple(tuple(x + c * (i == j) for j, x in enumerate(r)) for i, r in enumerate(rows))
+        )
     return acc
 
 
@@ -68,6 +73,27 @@ def check_candidate(seq: list[int], p: IntPoly) -> int | None:
     if len(seq) < p.degree + 2:
         raise ValueError("sequence too short for this candidate")
     return verify_recurrence(seq, Recurrence.from_poly(p))
+
+
+def verify_recurrence_oracle(seq, rec: Recurrence) -> int | None:
+    """verify_recurrence by the Fraction loop: every relation is checked and
+    the last failure kept."""
+    m = rec.order
+    n_terms = len(seq)
+    if n_terms < m + 1:
+        raise ValueError("sequence too short to check this recurrence")
+    s = [Fraction(x) for x in seq]
+    last_bad = 0  # 1-based index of the last failing relation
+    for n in range(n_terms - m):  # relation at 1-based index n+1
+        val = s[n + m]
+        for i in range(m):
+            val += rec.coefficients[i] * s[n + i]
+        if val != 0:
+            last_bad = n + 1
+    valid_from = last_bad + 1
+    if n_terms - valid_from + 1 < 2 * m:
+        return None
+    return valid_from
 
 
 def eventually_periodic_oracle(symbols, window: int) -> tuple[int, int] | None:

@@ -88,7 +88,40 @@ class TestSequenceCommand:
         assert code == EXIT_INPUT
 
 
+def spy_spectral_summary(monkeypatch, forbid_degree_sequence=False):
+    """Record the matrix of every spectral_summary call, under every name the
+    function is bound to; optionally make degree_sequence fail."""
+    import sys
+
+    import monodeg.spectra as spectra_mod
+
+    spectra_calls = []
+    real_summary = spectra_mod.spectral_summary
+
+    def spy_summary(a, bits):
+        spectra_calls.append(a)
+        return real_summary(a, bits)
+
+    def no_degree_sequence(a, n):
+        raise AssertionError("analyze must not rebuild the powers")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("monodeg."):
+            if hasattr(mod, "spectral_summary"):
+                monkeypatch.setattr(mod, "spectral_summary", spy_summary)
+            if forbid_degree_sequence and hasattr(mod, "degree_sequence"):
+                monkeypatch.setattr(mod, "degree_sequence", no_degree_sequence)
+    return spectra_calls
+
+
 class TestVerdictCommand:
+    def test_one_spectrum_for_both_verdicts(self, monkeypatch):
+        spectra_calls = spy_spectral_summary(monkeypatch)
+        code, out = run_cli(["verdict", "-m", FORWARD, "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["dual"] == "RECURRENCE_PROVEN"
+        assert spectra_calls == [parse_matrix(FORWARD)]
+
     def test_forward_json(self):
         code, out = run_cli(["verdict", "-m", FORWARD, "--format", "json"])
         assert code == EXIT_OK
@@ -145,30 +178,12 @@ class TestAnalyzeCommand:
 
     def test_one_forward_spectrum_and_power_pass(self, monkeypatch):
         # the report's spectrum is the one classify_d1 computed, the dual
-        # verdict needs the inverse's, and the degrees come from the cell trace
-        import sys
-
-        import monodeg.spectra as spectra_mod
-
-        spectra_calls = []
-        real_summary = spectra_mod.spectral_summary
-
-        def spy_summary(a, bits):
-            spectra_calls.append(a)
-            return real_summary(a, bits)
-
-        def no_degree_sequence(a, n):
-            raise AssertionError("analyze must not rebuild the powers")
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("monodeg."):
-                if hasattr(mod, "spectral_summary"):
-                    monkeypatch.setattr(mod, "spectral_summary", spy_summary)
-                if hasattr(mod, "degree_sequence"):
-                    monkeypatch.setattr(mod, "degree_sequence", no_degree_sequence)
+        # verdict reads the reciprocal spectrum off it, and the degrees come
+        # from the cell trace
+        spectra_calls = spy_spectral_summary(monkeypatch, forbid_degree_sequence=True)
         code, _ = run_cli(["analyze", "-m", FORWARD, "--format", "json"])
         assert code == EXIT_OK
-        assert spectra_calls == [parse_matrix(FORWARD), parse_matrix(INVERSE)]
+        assert spectra_calls == [parse_matrix(FORWARD)]
 
     @pytest.mark.parametrize(
         "matrix",

@@ -132,12 +132,12 @@ class TestCharPoly:
 
     def test_cayley_hamilton(self):
         rng = random.Random(5)
-        zero2 = IntMatrix.identity(2).scale(0)
+        zero2 = IntMatrix(((0, 0), (0, 0)))
         for _ in range(15):
             k = rng.choice([2, 3, 4])
             a = random_matrix(rng, k, -4, 4)
             result = poly_at_matrix(char_poly(a), a)
-            assert result == IntMatrix.identity(k).scale(0), (a, result)
+            assert result == IntMatrix(((0,) * k,) * k), (a, result)
         assert poly_at_matrix(char_poly(IntMatrix.identity(2)), IntMatrix.identity(2)) == zero2
 
     def test_unimodular_reversal(self):
@@ -169,10 +169,16 @@ class TestInverseUnimodular:
         rng = random.Random(13)
         from oracles import random_unimodular
 
-        for _ in range(10):
-            k = rng.choice([2, 3, 4])
+        for _ in range(30):
+            k = rng.choice([1, 2, 3, 4, 5, 6])
             a = random_unimodular(rng, k)
-            assert mat_mul(a, inverse_unimodular(a)) == IntMatrix.identity(k)
+            inv = inverse_unimodular(a)
+            assert mat_mul(a, inv) == IntMatrix.identity(k) == mat_mul(inv, a), a
+
+    def test_not_unimodular_reports_the_determinant(self):
+        for rows, d in ((((2, 0), (0, 3)), 6), (((0, 2, 0), (0, 0, 1), (1, 0, 0)), 2)):
+            with pytest.raises(NotUnimodular, match=f"determinant {d},"):
+                inverse_unimodular(IntMatrix(rows))
 
 
 class TestPseudoRem:

@@ -18,7 +18,12 @@ from monodeg.recur import (
 )
 
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE
-from oracles import check_candidate, eventually_periodic_oracle, hankel_min_order
+from oracles import (
+    check_candidate,
+    eventually_periodic_oracle,
+    hankel_min_order,
+    verify_recurrence_oracle,
+)
 
 
 def run_recurrence(coeffs, seeds, n):
@@ -99,6 +104,26 @@ class TestVerifyRecurrence:
         rec = Recurrence.from_poly(IntPoly((-1, -1, 1)))
         with pytest.raises(ValueError):
             verify_recurrence([1, 1], rec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=4),
+    st.lists(st.fractions(-5, 5, max_denominator=3), min_size=4, max_size=4),
+    st.integers(0, 20),
+    st.data(),
+)
+def test_verify_matches_fraction_loop(coeffs, seeds, head, data):
+    # fixed length 30: a junk head, a planted relation (integral or rational),
+    # optionally one corrupted term; integral terms are passed as ints, so
+    # integer and rational sequences both occur
+    rec = Recurrence(tuple(coeffs))
+    junk = data.draw(st.lists(st.integers(-50, 50), min_size=head, max_size=head))
+    seq = junk + run_recurrence(coeffs, seeds[: rec.order], 30 - head)
+    if data.draw(st.booleans()):
+        seq[data.draw(st.integers(0, 29))] += 1
+    seq = [int(x) if Fraction(x).denominator == 1 else x for x in seq]
+    assert verify_recurrence(seq, rec) == verify_recurrence_oracle(seq, rec)
 
 
 class TestCheckCandidate:

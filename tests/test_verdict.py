@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 from monodeg.cells import STABILIZED, UNRESOLVED
 from monodeg.degree import degree_sequence
 from monodeg.errors import NotUnimodular, RankDeficient, WindowTooShort
-from monodeg.exact import IntMatrix, IntPoly, det
-from monodeg.recur import find_recurrence
-from monodeg.spectra import EQ, spectral_summary
+from monodeg.exact import IntMatrix, IntPoly, char_poly, det, inverse_unimodular, mat_pow
+from monodeg.recur import Recurrence, find_recurrence
+from monodeg.spectra import EQ, reciprocal_summary, spectral_summary
 from monodeg.verdict import (
     DUALITY_THM_1_2,
     NO_RECURRENCE_PROVEN,
@@ -20,6 +21,7 @@ from monodeg.verdict import (
     classify_dual,
     cross_check,
 )
+from monodeg.verdict import _classify_from_summary, _power_recurrence
 
 from conftest import (
     NO_RECURRENCE_3X3,
@@ -27,7 +29,7 @@ from conftest import (
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
 )
-from oracles import check_candidate, random_rank_matrix, random_unimodular
+from oracles import check_candidate, random_matrix, random_rank_matrix, random_unimodular
 
 
 class TestClassifyD1:
@@ -146,6 +148,85 @@ class TestClassifyDual:
                 assert v1.classification == RECURRENCE_PROVEN
                 assert v2.classification == RECURRENCE_PROVEN
             checked += 1
+
+
+def _seeded_unimodular(seed, per_k=8):
+    """Entries in [-2, 2], redrawn until det = +-1, k = 2..5: a spread of
+    real, paired, dominant and modulus-one spectra."""
+    rng = random.Random(seed)
+    out = []
+    for k in (2, 3, 4, 5):
+        while len(out) < per_k * (k - 1):
+            a = random_matrix(rng, k, -2, 2)
+            if det(a) in (1, -1):
+                out.append(a)
+    return out
+
+
+def _disks_meet(b1, b2) -> bool:
+    dx = b1.center[0] - b2.center[0]
+    dy = b1.center[1] - b2.center[1]
+    return dx * dx + dy * dy <= (b1.radius + b2.radius) ** 2
+
+
+class TestDualFromForwardSpectrum:
+    def test_matches_classification_of_the_inverse(self):
+        for a in _seeded_unimodular(83):
+            dual = classify_dual(a)
+            inner = classify_d1(inverse_unimodular(a))
+            assert dual.classification == inner.classification, a
+            assert dual.details.get("inner_basis") == inner.basis, a
+            assert dual.recurrence == inner.recurrence, a
+            assert dual.summary.char_poly == inner.summary.char_poly, a
+
+    def test_reciprocal_boxes_isolate_the_inverse_spectrum(self):
+        for a in _seeded_unimodular(89):
+            summary = spectral_summary(a)
+            forward, boxes = summary.roots, reciprocal_summary(summary).roots
+            direct = spectral_summary(inverse_unimodular(a)).roots
+            for box, fb in zip(boxes, forward):
+                assert (box.center[1] > 0) == (fb.center[1] > 0), (a, box)  # half-plane kept
+                hits = [b for b in direct if _disks_meet(box, b)]
+                assert len(hits) == 1, (a, box)
+                assert hits[0].is_real == box.is_real, (a, box)
+                assert hits[0].multiplicity == box.multiplicity, (a, box)
+            for i in range(len(boxes)):
+                for j in range(i + 1, len(boxes)):
+                    assert not _disks_meet(boxes[i], boxes[j]), (a, i, j)
+
+    def test_dual_dominant_pair_is_the_smallest_modulus_pair(self):
+        forward = spectral_summary(TRIBONACCI_COMPANION)
+        smallest = forward.modulus_classes[-1].indices
+        assert len(smallest) == 2 and not forward.roots[smallest[0]].is_real
+        dual = classify_dual(TRIBONACCI_COMPANION)
+        assert dual.summary.dominant_pair == smallest
+        assert dual.details["dominant_pair"] == smallest
+
+    def test_unpinned_real_sign_stays_unknown(self):
+        # a real box that reaches 0 does not certify the sign of its root
+        s = spectral_summary(TRIBONACCI_COMPANION)
+        i = next(i for i, b in enumerate(s.roots) if b.is_real)
+        wide = dataclasses.replace(s.roots[i], radius=abs(s.roots[i].center[0]))
+        roots = s.roots[:i] + (wide,) + s.roots[i + 1 :]
+        v = _classify_from_summary(dataclasses.replace(s, roots=roots))
+        assert v.classification == UNKNOWN
+        assert "not pinned" in v.details["unresolved"]
+
+    def test_reciprocal_needs_a_unimodular_spectrum(self):
+        with pytest.raises(NotUnimodular):
+            reciprocal_summary(spectral_summary(PAIR_2X2))
+
+    def test_power_recurrence_from_power_sums(self):
+        rng = random.Random(97)
+        for k in (1, 2, 3, 4, 5):
+            for _ in range(4):
+                a = random_rank_matrix(rng, k, -3, 3)
+                for tau in range(1, 7):
+                    chi_tau = char_poly(mat_pow(a, tau))
+                    stretched = [0] * (k * tau + 1)
+                    stretched[::tau] = chi_tau.coeffs
+                    expected = Recurrence.from_poly(IntPoly(stretched))
+                    assert _power_recurrence(char_poly(a), tau) == expected, (a, tau)
 
 
 class TestCrossCheck:
