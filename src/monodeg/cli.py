@@ -28,7 +28,7 @@ from .errors import (
     UnresolvedCertification,
     WindowTooShort,
 )
-from .exact import IntMatrix, char_poly, det
+from .exact import IntMatrix, IntPoly, char_poly
 from .recur import Recurrence, find_recurrence
 from .spectra import SpectralSummary
 from .verdict import Verdict, _dual_from_forward, classify_d1, cross_check
@@ -262,10 +262,15 @@ def _cmd_recurrence(a: IntMatrix, args, out) -> int:
     return EXIT_OK
 
 
+def _char_poly(a: IntMatrix, d1: Verdict) -> IntPoly:
+    """chi_A, read off the forward verdict's spectral summary when it has one."""
+    return d1.summary.char_poly if d1.summary is not None else char_poly(a)
+
+
 def _cmd_verdict(a: IntMatrix, args, out) -> int:
     bits = args.precision
     d1 = classify_d1(a, bits)
-    dual = _dual_from_forward(d1) if det(a) in (1, -1) else None
+    dual = _dual_from_forward(d1) if _char_poly(a, d1).constant in (1, -1) else None
     payload: dict[str, Any] = {
         "input": [list(r) for r in a.rows],
         "d1": d1.classification,
@@ -312,7 +317,8 @@ def _cmd_analyze(a: IntMatrix, args, out) -> int:
     seq_len = max(args.terms, 2 * max_order + guard)
     report = cross_check(a, seq_len, max_order, bits, guard)
     d1 = report.verdict
-    d = det(a)
+    chi = _char_poly(a, d1)
+    d = (-1) ** a.k * chi.constant
     dual = _dual_from_forward(d1) if d in (1, -1) else None
     if d1.summary is None:
         spectrum = {"unresolved": f"unresolved: {d1.details['unresolved']}"}
@@ -321,7 +327,7 @@ def _cmd_analyze(a: IntMatrix, args, out) -> int:
     payload = {
         "input": [list(r) for r in a.rows],
         "det": d,
-        "char_poly": list(char_poly(a).coeffs),
+        "char_poly": list(chi.coeffs),
         "spectrum": spectrum,
         "sequence": list(report.sequence.terms[: args.terms]),
         "recurrence": _recurrence_payload(report.recurrence),

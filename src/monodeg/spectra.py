@@ -19,9 +19,13 @@ modulus comparisons) is established in exact rational arithmetic:
 
 * a candidate center c with p'(c) != 0 certifies a root within the Newton
   inclusion radius d*|p(c)|/|p'(c)| of c, because p'/p = sum 1/(c - root_i);
-* real roots come from Sturm bisection with integer sign evaluation;
 * n pairwise disjoint disks, each certified to contain at least one root of a
-  squarefree degree-n polynomial, contain exactly one root each.
+  squarefree degree-n polynomial, contain exactly one root each;
+* the one root in a disk centred on the real axis is real, since the disk
+  also holds the conjugate of each root it holds (p has real coefficients).
+
+Sturm bisection with integer sign evaluation serves only the product
+polynomial, whose real roots are the only ones the modulus comparison needs.
 
 A Mahler-type root-separation lower bound (valid because the discriminant of
 a squarefree integer polynomial is a nonzero integer) bounds the refinement
@@ -48,7 +52,6 @@ from .exact import (
     _pseudo_rem,
     char_poly,
     cyclotomic,
-    det,
     orders_with_phi_at_most,
     poly_gcd,
 )
@@ -155,7 +158,8 @@ def _poly_eval_complex(p: IntPoly, z) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Real roots: Sturm isolation with exact integer sign evaluation
+# Real roots of the product polynomial: Sturm isolation with exact integer
+# sign evaluation
 # ---------------------------------------------------------------------------
 
 def _sturm_chain(p: IntPoly) -> list[IntPoly]:
@@ -277,59 +281,30 @@ def _isolate_real_roots(p: IntPoly) -> list[_RealRoot]:
 # Root handles: refinable certified boxes
 # ---------------------------------------------------------------------------
 
-class _RealHandle:
-    __slots__ = ("record", "rad_exact", "multiplicity")
-    is_real = True
-
-    def __init__(self, record: _RealRoot, eps: Fraction, multiplicity: int = 1):
-        self.record = record
-        self.rad_exact = eps  # shrinkable box radius used for exact roots
-        self.multiplicity = multiplicity
-
-    @property
-    def is_exact(self) -> bool:
-        return self.record.exact is not None
-
-    def center(self) -> tuple[Fraction, Fraction]:
-        if self.record.exact is not None:
-            return self.record.exact, _ZERO
-        lo, hi = self.record.lo, self.record.hi
-        return (lo + hi) / 2, _ZERO
-
-    def radius(self) -> Fraction:
-        if self.record.exact is not None:
-            return self.rad_exact
-        return (self.record.hi - self.record.lo) / 2
-
-    def shrink(self) -> None:
-        if self.record.exact is not None:
-            self.rad_exact /= 2
-        else:
-            self.record.refine_step()
-            if self.record.exact is not None:
-                self.rad_exact = min(self.rad_exact, Fraction(1, 1 << 16))
-
-    def value_span(self) -> tuple[Fraction, Fraction]:
-        return self.record.span()
-
-
-class _ComplexHandle:
-    """Upper half-plane root candidate refined by exact Newton steps.
+class _Handle:
+    """Root candidate refined by exact Newton steps: a real root, centred on
+    the axis, or the upper half-plane representative of a conjugate pair.
 
     The certified radius is the Newton inclusion radius d*|p(c)|/|p'(c)|:
     p'(c)/p(c) = sum_i 1/(c - root_i) has modulus at most d / min_i |c - root_i|,
     so some root lies within d*|p(c)|/|p'(c)| of c.  A vanishing residual
     means c is the root.
+
+    A real start has imaginary part 0, and Newton steps of a real polynomial
+    from a real point stay real, so a real handle's disk stays centred on the
+    axis.  Once _certify_layout has shown the disks (conjugate mirrors
+    included) pairwise disjoint, each holds exactly one root; a disk symmetric
+    about the axis holds that root's conjugate too, so its root is real.
     """
 
     __slots__ = ("poly", "deriv", "c", "pc", "dpc", "bits", "rad", "is_exact",
-                 "multiplicity", "_stuck")
-    is_real = False
+                 "is_real", "multiplicity", "_stuck")
 
     def __init__(self, poly: IntPoly, start: tuple[Fraction, Fraction], bits: int,
                  multiplicity: int = 1):
         self.poly = poly
         self.deriv = poly.derivative()
+        self.is_real = start[1] == 0
         self.c = (_dyadic(start[0], bits), _dyadic(start[1], bits))
         self.bits = bits
         self.rad: Fraction | None = None
@@ -391,7 +366,12 @@ class _ComplexHandle:
 
     @property
     def stuck(self) -> bool:
-        return self._stuck >= 8 or (self.rad is None and self.bits > (1 << 12))
+        """The radius stalled for 8 rounds, or the precision, doubled every
+        round, outran it.  Newton converging quadratically to a simple root
+        keeps -log2(radius) near the precision; a start merged with another
+        by rounding only halves the radius per round on their root cluster,
+        and a real start near a non-real pair never converges."""
+        return self._stuck >= 8 or self.bits > 8 * _frac_bits(self.radius()) + (1 << 12)
 
 
 def _disks_of(handle) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -414,10 +394,7 @@ def _certify_layout(handles: list, eps: Fraction, max_rounds: int) -> bool:
         bad: set[int] = set()
         for i, h in enumerate(handles):
             r = h.radius()
-            if r is None or r > eps:
-                bad.add(i)
-                continue
-            if not h.is_real and h.center()[1] <= r:
+            if r > eps or (not h.is_real and h.center()[1] <= r):
                 bad.add(i)
         if not bad:
             for i in range(len(handles)):
@@ -431,7 +408,7 @@ def _certify_layout(handles: list, eps: Fraction, max_rounds: int) -> bool:
             return True
         for i in bad:
             handles[i].shrink()
-            if not handles[i].is_real and handles[i].stuck:
+            if handles[i].stuck:
                 return False
     return False
 
@@ -444,15 +421,17 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def _aberth_starts(p: IntPoly, npairs: int):
-    """Upper half-plane starting points from a double-precision Aberth
-    iteration, or None (escalate to mpmath).
+def _aberth_starts(p: IntPoly):
+    """Starting points from a double-precision Aberth iteration, or None
+    (escalate to mpmath): one real start (imaginary part 0) per approximation
+    within its error estimate of the axis, one upper half-plane start per
+    approximation above the axis by more than that.
 
     Only tried when every coefficient is exact in a double.  The result must
     look clean in floating point: the error estimates (Newton inclusion radius
     plus a Horner rounding bound) of any two approximations sum to less than a
-    quarter of their distance, and exactly npairs approximations lie above the
-    real axis, and npairs below it, by more than their error estimate.
+    quarter of their distance, and as many approximations lie above the axis
+    as below it.
     """
     if any(abs(c) >= 1 << 53 for c in p.coeffs):
         return None
@@ -493,15 +472,17 @@ def _aberth_starts(p: IntPoly, npairs: int):
         for j in range(i + 1, d):
             if not abs(z[i] - z[j]) > 4 * (err[i] + err[j]):  # also rejects nan
                 return None
-    ups = [zi for zi, e in zip(z, err) if zi.imag > e]
-    downs = [zi for zi, e in zip(z, err) if zi.imag < -e]
-    if len(ups) != npairs or len(downs) != npairs:
+    reals = [(Fraction(zi.real), _ZERO) for zi, e in zip(z, err) if abs(zi.imag) <= e]
+    ups = [(Fraction(zi.real), Fraction(zi.imag)) for zi, e in zip(z, err) if zi.imag > e]
+    if len(reals) + 2 * len(ups) != d:
         return None
-    return [(Fraction(zi.real), Fraction(zi.imag)) for zi in ups]
+    return reals + ups
 
 
-def _complex_starts(p: IntPoly, npairs: int, dps: int):
-    """Upper half-plane starting points from mpmath, or None to retry."""
+def _complex_starts(p: IntPoly, dps: int):
+    """Starting points from mpmath, or None to retry: one per root on the
+    axis (polyroots sets the imaginary part of near-real roots to 0) and one
+    per root in the upper half-plane."""
     import mpmath
 
     with mpmath.workdps(dps):
@@ -513,35 +494,38 @@ def _complex_starts(p: IntPoly, npairs: int, dps: int):
             )
         except Exception:
             return None
-        ups = [z for z in roots if mpmath.im(z) > 0]
-        if len(ups) != npairs:
-            return None
         out = []
-        for z in ups:
-            if not (mpmath.isfinite(mpmath.re(z)) and mpmath.isfinite(mpmath.im(z))):
+        for z in roots:
+            re, im = mpmath.re(z), mpmath.im(z)
+            if not (mpmath.isfinite(re) and mpmath.isfinite(im)):
                 return None
-            out.append((_mpf_to_fraction(mpmath.re(z)), _mpf_to_fraction(mpmath.im(z))))
+            if im >= 0:
+                out.append((_mpf_to_fraction(re), _mpf_to_fraction(im)))
+        if sum(1 if im == 0 else 2 for _, im in out) != p.degree:
+            return None
         return out
 
 
 def _refine_budget(p: IntPoly, eps: Fraction) -> int:
-    """Rounds of halving that provably suffice: reach the separation bound
-    plus the requested radius (real-handle refinement is one halving per
-    round)."""
+    """Rounds of halving that suffice to reach the separation bound plus the
+    requested radius: an exact root's radius halves each round, and a Newton
+    step from a start in a simple root's quadratic basin does at least as
+    well."""
     return _separation_bits(p) + _frac_bits(eps) + 96
 
 
-def _proposals(p: IntPoly, npairs: int):
-    """Upper half-plane starting points, each with the dyadic precision of its
-    handles: double-precision Aberth first, then mpmath at growing precision
-    (the escalation path; mpmath is imported only when it is reached)."""
-    starts = _aberth_starts(p, npairs)
+def _proposals(p: IntPoly):
+    """Starting points (one per real root and one per conjugate pair), each
+    set with the dyadic precision of its handles: double-precision Aberth
+    first, then mpmath at growing precision (the escalation path; mpmath is
+    imported only when it is reached)."""
+    starts = _aberth_starts(p)
     if starts is not None:
         yield starts, 64
     coeff_bits = max(abs(c).bit_length() for c in p.coeffs)
     dps = max(30, coeff_bits // 3 + 15)
     for _ in range(7):
-        starts = _complex_starts(p, npairs, dps)
+        starts = _complex_starts(p, dps)
         if starts is not None:
             yield starts, max(64, 2 * dps)
         dps *= 2
@@ -549,23 +533,11 @@ def _proposals(p: IntPoly, npairs: int):
 
 def _isolate_handles(p: IntPoly, eps: Fraction, multiplicity: int = 1) -> list:
     """Certified handles for all roots of a squarefree polynomial."""
-    d = p.degree
-    reals = [_RealHandle(rec, eps, multiplicity) for rec in _isolate_real_roots(p)]
-    npairs = (d - len(reals)) // 2
-    if d - len(reals) != 2 * npairs:
-        raise ArithmeticError("real root count parity violation")
-    if npairs == 0:
-        handles = list(reals)
-        if not _certify_layout(handles, eps, _refine_budget(p, eps)):
-            raise UnresolvedCertification("real isolation failed to separate")
-        return handles
-    for starts, bits in _proposals(p, npairs):
-        handles = list(reals) + [_ComplexHandle(p, s, bits, multiplicity) for s in starts]
+    for starts, bits in _proposals(p):
+        handles = [_Handle(p, s, bits, multiplicity) for s in starts]
         if _certify_layout(handles, eps, _refine_budget(p, eps)):
             return handles
-        # fresh complex starts get fresh real handles
-        reals = [_RealHandle(rec, eps, multiplicity) for rec in _isolate_real_roots(p)]
-    raise UnresolvedCertification("complex root isolation did not converge")
+    raise UnresolvedCertification("root isolation did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +624,7 @@ def _order_handles(handles: list) -> list:
     Called once per analysis; later refinement only shrinks boxes around
     fixed roots, so the order stays meaningful and is never recomputed.
     """
-    reals = sorted((h for h in handles if h.is_real), key=lambda h: h.value_span()[0])
-    comps = sorted((h for h in handles if not h.is_real), key=lambda h: h.center())
-    return reals + comps
+    return sorted(handles, key=lambda h: (not h.is_real, h.center()))
 
 
 def _boxes_from_ordered(ordered: list) -> tuple[RootBox, ...]:
@@ -716,21 +686,12 @@ def _product_poly(p: IntPoly) -> IntPoly:
 
 
 def _modsq_interval(handle, sqrt_bits: int) -> tuple[Fraction, Fraction]:
-    """Exact interval containing |root|^2."""
-    if handle.is_real:
-        lo, hi = handle.value_span()
-        if lo == hi:
-            return lo * lo, lo * lo
-        if lo >= 0:
-            return lo * lo, hi * hi
-        if hi <= 0:
-            return hi * hi, lo * lo
-        return _ZERO, max(lo * lo, hi * hi)
+    """Exact interval containing |root|^2 (|center| is exact on the axis)."""
     (re, im), r = handle.center(), handle.radius()
     m2 = re * re + im * im
     if handle.is_exact:
         return m2, m2
-    slo, shi = _sqrt_bounds(m2, sqrt_bits)
+    slo, shi = (abs(re), abs(re)) if handle.is_real else _sqrt_bounds(m2, sqrt_bits)
     lo = max(_ZERO, slo - r)
     hi = shi + r
     return lo * lo, hi * hi
@@ -1005,9 +966,9 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
     """Characteristic polynomial, certified root boxes with multiplicities,
     equal-modulus classes compared against 1, the dominant conjugate pair if
     there is one, and conjugate-ratio flags per root."""
-    if det(a) == 0:
-        raise RankDeficient("spectral analysis needs a matrix of full rank")
     chi = char_poly(a)
+    if chi.constant == 0:  # chi_A(0) = (-1)^k det A
+        raise RankDeficient("spectral analysis needs a matrix of full rank")
     sf, factors = squarefree_part(chi)
     eps = Fraction(1, 1 << _DEFAULT_EPS_BITS)
     handles: list = []

@@ -28,7 +28,7 @@ from typing import Any
 from . import cells as cells_mod
 from .cells import CellTrace, cell_trace
 from .degree import DegreeSequence
-from .errors import NotUnimodular, RankDeficient, UnresolvedCertification, WindowTooShort
+from .errors import NotUnimodular, UnresolvedCertification, WindowTooShort
 from .exact import IntMatrix, IntPoly, _from_power_sums, _power_sums, det
 from .recur import Recurrence, find_recurrence, verify_recurrence
 from .spectra import (
@@ -121,9 +121,8 @@ def _unity_stride(summary: SpectralSummary) -> int:
 
 
 def classify_d1(a: IntMatrix, precision_bits: int = 256) -> Verdict:
-    """Provable classification of the forward degree sequence."""
-    if det(a) == 0:
-        raise RankDeficient("classification needs a matrix of full rank")
+    """Provable classification of the forward degree sequence (RankDeficient
+    from spectral_summary when A is singular)."""
     try:
         summary = spectral_summary(a, precision_bits)
     except UnresolvedCertification as exc:

@@ -114,6 +114,28 @@ def spy_spectral_summary(monkeypatch, forbid_degree_sequence=False):
     return spectra_calls
 
 
+def count_calls(monkeypatch, *names):
+    """Count calls to the named monodeg functions, under every name each
+    function is bound to."""
+    import sys
+
+    counts = dict.fromkeys(names, 0)
+    for modname, mod in list(sys.modules.items()):
+        if not modname.startswith("monodeg."):
+            continue
+        for name in names:
+            real = getattr(mod, name, None)
+            if real is None:
+                continue
+
+            def spy(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(mod, name, spy)
+    return counts
+
+
 class TestVerdictCommand:
     def test_one_spectrum_for_both_verdicts(self, monkeypatch):
         spectra_calls = spy_spectral_summary(monkeypatch)
@@ -121,6 +143,14 @@ class TestVerdictCommand:
         assert code == EXIT_OK
         assert json.loads(out)["dual"] == "RECURRENCE_PROVEN"
         assert spectra_calls == [parse_matrix(FORWARD)]
+
+    def test_one_char_poly_and_no_det(self, monkeypatch):
+        # unimodularity is read off chi_A(0) of the forward spectral summary
+        counts = count_calls(monkeypatch, "char_poly", "det")
+        code, out = run_cli(["verdict", "-m", FORWARD, "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["dual"] == "RECURRENCE_PROVEN"
+        assert counts == {"char_poly": 1, "det": 0}
 
     def test_forward_json(self):
         code, out = run_cli(["verdict", "-m", FORWARD, "--format", "json"])
@@ -184,6 +214,16 @@ class TestAnalyzeCommand:
         code, _ = run_cli(["analyze", "-m", FORWARD, "--format", "json"])
         assert code == EXIT_OK
         assert spectra_calls == [parse_matrix(FORWARD)]
+
+    def test_one_char_poly_and_det(self, monkeypatch):
+        # the report's char_poly is the spectral summary's, its det is
+        # (-1)^k chi_A(0); the one det call is the cell trace's rank check
+        counts = count_calls(monkeypatch, "char_poly", "det")
+        code, out = run_cli(["analyze", "-m", FORWARD, "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["det"], payload["char_poly"]) == (1, [-1, 1, 1, 1])
+        assert counts == {"char_poly": 1, "det": 1}
 
     @pytest.mark.parametrize(
         "matrix",
@@ -252,12 +292,17 @@ class TestStrictMode:
         assert "unresolved" in out
         code, _ = run_cli(["analyze", "-m", "[[0,1],[1,1]]"])
         assert code == EXIT_OK  # without --strict the report still renders
+        # with no spectral summary, chi_A and det A are computed directly
+        code, out = run_cli(["analyze", "-m", "[[0,1],[1,1]]", "--format", "json"])
+        payload = json.loads(out)
+        assert (payload["det"], payload["char_poly"]) == (-1, [-1, -1, 1])
+        assert payload["verdicts"]["dual"]["classification"] == "UNKNOWN"
 
     def test_isolation_failure_exit_code(self, monkeypatch):
         import monodeg.spectra as spectra_mod
 
-        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p, npairs: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, npairs, dps: None)
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps: None)
         code, out = run_cli(["verdict", "-m", "[[1,-2],[1,1]]", "--strict"])
         assert code == 4
         assert "UNKNOWN" in out

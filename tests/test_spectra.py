@@ -153,8 +153,9 @@ class TestIsolateRoots:
 
 
 def _assert_isolates(p, boxes):
-    """Each box holds exactly one root of the 100-digit oracle, and the boxes
-    (conjugate mirrors included) are pairwise disjoint."""
+    """Each box holds exactly one root of the 100-digit oracle, a box flagged
+    real holds a real one, as many boxes as oracle roots are real, and the
+    boxes (conjugate mirrors included) are pairwise disjoint."""
     assert len(boxes) == p.degree
     roots = polyroots_oracle(p)
     for b in boxes:
@@ -163,6 +164,9 @@ def _assert_isolates(p, boxes):
             if (x - b.center[0]) ** 2 + (y - b.center[1]) ** 2 <= b.radius ** 2
         ]
         assert len(inside) == 1
+        if b.is_real:
+            assert inside[0][1] == 0
+    assert sum(b.is_real for b in boxes) == sum(y == 0 for _, y in roots)
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             dx = boxes[i].center[0] - boxes[j].center[0]
@@ -176,13 +180,13 @@ class TestProposers:
         calls = []
         mp_starts = spectra._complex_starts
 
-        def spy(p, npairs, dps):
+        def spy(p, dps):
             calls.append(dps)
-            return mp_starts(p, npairs, dps)
+            return mp_starts(p, dps)
 
         monkeypatch.setattr(spectra, "_complex_starts", spy)
         for p in (IntPoly((2**60 + 1, 1, 1)), IntPoly((1, 2**53, 0, 1))):
-            assert spectra._aberth_starts(p, 1) is None
+            assert spectra._aberth_starts(p) is None
             calls.clear()
             _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
             assert calls
@@ -200,13 +204,37 @@ class TestProposers:
             seen += 1
             _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
 
+    @pytest.mark.parametrize(
+        "n, a", [(5, 10), (9, 10), (11, 100), (5, 1000), (5, 10**6), (5, 10**9)]
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_mignotte_clusters(self, n, a, sign):
+        # x^n - 2(ax - 1)^2 has two real roots near 1/a, x^n + 2(ax - 1)^2 a
+        # non-real pair there, closer to each other as a grows; at a = 10^6
+        # and 10^9 the first mpmath starts merge or land on the axis, so
+        # isolation has to give up on them and escalate
+        c = [0] * (n + 1)
+        c[n] = 1
+        for i, v in enumerate((-2, 4 * a, -2 * a * a)):
+            c[i] += sign * v
+        p = IntPoly(tuple(c))
+        _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
+
+    def test_far_pair_and_small_real_root(self):
+        x = IntPoly((0, 1))
+        shifted = x - IntPoly((2**20,))
+        p = (shifted * shifted + IntPoly((1,))) * (x - IntPoly((3,)))
+        _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
+
     def test_no_proposer_is_unresolved(self, monkeypatch):
         from monodeg.errors import UnresolvedCertification
 
-        monkeypatch.setattr(spectra, "_aberth_starts", lambda p, npairs: None)
-        monkeypatch.setattr(spectra, "_complex_starts", lambda p, npairs, dps: None)
-        with pytest.raises(UnresolvedCertification):
-            isolate_roots(IntPoly((1, 0, 1)), Fraction(1, 2**32))
+        monkeypatch.setattr(spectra, "_aberth_starts", lambda p: None)
+        monkeypatch.setattr(spectra, "_complex_starts", lambda p, dps: None)
+        # with no float starts even an all-real polynomial stays unresolved
+        for p in (IntPoly((1, 0, 1)), IntPoly((6, -5, 1))):
+            with pytest.raises(UnresolvedCertification):
+                isolate_roots(p, Fraction(1, 2**32))
 
     def test_common_path_does_not_import_mpmath(self):
         src = Path(monodeg.__file__).resolve().parent.parent

@@ -102,8 +102,8 @@ class TestClassifyD1:
     def test_isolation_failure_becomes_unknown(self, monkeypatch):
         import monodeg.spectra as spectra_mod
 
-        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p, npairs: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, npairs, dps: None)
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps: None)
         v = classify_d1(PAIR_2X2)
         assert v.classification == UNKNOWN
         assert "did not converge" in v.details["unresolved"]
