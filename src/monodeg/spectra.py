@@ -10,12 +10,12 @@ divisibility tests deciding which ratios are roots of unity.  The product and
 ratio polynomials are symmetric functions of the eigenvalues and are built
 from integer power sums with Newton's identities, not from resultants.
 
-Certified numeric layer: root isolation with rational centers and radii.
+Certified numeric layer: root isolation with dyadic centers and radii.
 Floating point only proposes starting points: a double-precision Aberth
 iteration when every coefficient is exact in a double, escalating to mpmath at
 growing precision when the coefficients are larger or the double-precision
 starts do not certify.  Every assertion (containment, disjointness, realness,
-modulus comparisons) is established in exact rational arithmetic:
+modulus comparisons) is established in exact arithmetic:
 
 * a candidate center c with p'(c) != 0 certifies a root within the Newton
   inclusion radius d*|p(c)|/|p'(c)| of c, because p'/p = sum 1/(c - root_i);
@@ -23,6 +23,10 @@ modulus comparisons) is established in exact rational arithmetic:
   squarefree degree-n polynomial, contain exactly one root each;
 * the one root in a disk centred on the real axis is real, since the disk
   also holds the conjugate of each root it holds (p has real coefficients).
+
+Newton steps, inclusion radii and the layout tests run on dyadic integers (a
+centre (x + iy)/2^bits, a radius 2^-e); Fraction appears only in the public
+RootBox view and in the Sturm and modulus-comparison layer.
 
 Sturm bisection with integer sign evaluation serves only the product
 polynomial, whose real roots are the only ones the modulus comparison needs.
@@ -39,6 +43,7 @@ proposer yields starts that certify.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -73,13 +78,10 @@ _ABERTH_STEPS = 100
 # Small exact-numeric helpers
 # ---------------------------------------------------------------------------
 
-def _dyadic(x: Fraction, bits: int) -> Fraction:
-    """Round to the nearest multiple of 2^-bits."""
-    num = x.numerator << bits
-    q, r = divmod(num, x.denominator)
-    if 2 * r >= x.denominator:
-        q += 1
-    return Fraction(q, 1 << bits)
+def _round_div(n: int, d: int) -> int:
+    """n/d rounded to the nearest integer, ties upward (d > 0)."""
+    q, r = divmod(n, d)
+    return q + (2 * r >= d)
 
 
 def _sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -92,13 +94,6 @@ def _sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     t = math.isqrt(m << (2 * bits))
     den = q.denominator << bits
     return Fraction(t, den), Fraction(t + 1, den)
-
-
-def _frac_bits(x: Fraction) -> int:
-    """Roughly -log2(x) for 0 < x <= 1 (used for cap accounting)."""
-    if x <= 0:
-        return 1 << 30
-    return max(0, x.denominator.bit_length() - x.numerator.bit_length())
 
 
 def _root_bound_pow2(p: IntPoly) -> int:
@@ -134,10 +129,6 @@ def _separation_bits(p: IntPoly) -> int:
 
 def _c_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _c_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
 
 
 def _c_div(a, b):
@@ -213,11 +204,6 @@ class _RealRoot:
             return self.exact, self.exact
         return self.lo, self.hi
 
-    def width(self) -> Fraction:
-        if self.exact is not None:
-            return _ZERO
-        return self.hi - self.lo
-
     def refine_step(self) -> None:
         if self.exact is not None:
             return
@@ -285,6 +271,12 @@ class _Handle:
     """Root candidate refined by exact Newton steps: a real root, centred on
     the axis, or the upper half-plane representative of a conjugate pair.
 
+    The state is integers only: the centre c = (x + iy)/2^bits and the radius
+    2^-e, with e None while the radius certifies nothing.  p and p' are kept
+    scaled to integers, P = 2^(d*bits)*p(c) and D = 2^((d-1)*bits)*p'(c), for
+    the next Newton step.  center() and radius() are the public Fraction view,
+    built on demand (the centre cached until the next shrink).
+
     The certified radius is the Newton inclusion radius d*|p(c)|/|p'(c)|:
     p'(c)/p(c) = sum_i 1/(c - root_i) has modulus at most d / min_i |c - root_i|,
     so some root lies within d*|p(c)|/|p'(c)| of c.  A vanishing residual
@@ -297,69 +289,75 @@ class _Handle:
     about the axis holds that root's conjugate too, so its root is real.
     """
 
-    __slots__ = ("poly", "deriv", "c", "pc", "dpc", "bits", "rad", "is_exact",
-                 "is_real", "multiplicity", "_stuck")
+    __slots__ = ("poly", "x", "y", "bits", "e", "pc", "dpc", "is_exact", "is_real",
+                 "multiplicity", "_stuck", "_center")
 
     def __init__(self, poly: IntPoly, start: tuple[Fraction, Fraction], bits: int,
                  multiplicity: int = 1):
         self.poly = poly
-        self.deriv = poly.derivative()
         self.is_real = start[1] == 0
-        self.c = (_dyadic(start[0], bits), _dyadic(start[1], bits))
+        self.x, self.y = (_round_div(v.numerator << bits, v.denominator) for v in start)
         self.bits = bits
-        self.rad: Fraction | None = None
+        self.e: int | None = None
         self.is_exact = False
         self.multiplicity = multiplicity
         self._stuck = 0
         self._update_radius()
 
     def center(self) -> tuple[Fraction, Fraction]:
-        return self.c
+        if self._center is None:
+            den = 1 << self.bits
+            self._center = (Fraction(self.x, den), Fraction(self.y, den))
+        return self._center
 
     def radius(self) -> Fraction:
-        return self.rad if self.rad is not None else Fraction(1)
+        return Fraction(1, 1 << self.e) if self.e is not None else Fraction(1)
 
     def _update_radius(self) -> None:
-        """Evaluate p and p' at c (kept for the next Newton step) and set the
-        radius to the least 2^-e, e >= 1, with d^2 |p(c)|^2 <= 2^-2e |p'(c)|^2."""
-        self.pc = _poly_eval_complex(self.poly, self.c)
-        self.dpc = _poly_eval_complex(self.deriv, self.c)
-        v = _c_abs2(self.pc)
-        if v == 0:
+        """Evaluate P and D at c (Horner on Gaussian integers, p(c) and p'(c)
+        together) and set e to the largest e >= 1 with d^2 |p(c)|^2 <=
+        2^-2e |p'(c)|^2, that is d^2 |P|^2 4^e <= |D|^2 4^bits."""
+        self._center = None
+        coeffs, x, y, b = self.poly.coeffs, self.x, self.y, self.bits
+        d = len(coeffs) - 1
+        pr, pi, dr, di = coeffs[-1], 0, 0, 0
+        for j in range(d - 1, -1, -1):
+            dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+            pr, pi = pr * x - pi * y + (coeffs[j] << (b * (d - j))), pr * y + pi * x
+        self.pc, self.dpc = (pr, pi), (dr, di)
+        num = d * d * (pr * pr + pi * pi)
+        if num == 0:
             self.is_exact = True
-            if self.rad is None:
-                self.rad = Fraction(1, 1 << self.bits)
+            if self.e is None:
+                self.e = b
             return
-        w = _c_abs2(self.dpc)
-        if w == 0:
-            self.rad = None
+        den = (dr * dr + di * di) << (2 * b)
+        if den == 0:
+            self.e = None
             return
-        d = self.poly.degree
-        t = d * d * v / w
-        num, den = t.numerator, t.denominator
-        e = max(0, (den.bit_length() - num.bit_length()) // 2)
-        while e > 0 and num << (2 * e) > den:
-            e -= 1
-        while num << (2 * e + 2) <= den:
-            e += 1
+        e = ((den // num).bit_length() - 1) // 2  # 4^e <= den/num < 4^(e+1)
         # e >= 1: a radius above 1/2 certifies nothing useful
-        self.rad = Fraction(1, 1 << e) if e >= 1 else None
+        self.e = e if e >= 1 else None
 
     def shrink(self) -> None:
         if self.is_exact:
-            self.rad /= 2
+            self.e += 1
             return
-        old = self.rad
-        self.bits = min(self.bits * 2, self.bits + (1 << 14))
-        if self.dpc == (_ZERO, _ZERO):
-            nudge = Fraction(1, 1 << self.bits)
-            self.c = (self.c[0] + nudge, self.c[1])
+        old, shift = self.e, min(self.bits, 1 << 14)
+        self.bits += shift
+        (pr, pi), (dr, di) = self.pc, self.dpc
+        w = dr * dr + di * di
+        if w == 0:
+            self.x, self.y = (self.x << shift) + 1, self.y << shift
         else:
-            step = _c_div(self.pc, self.dpc)
-            nxt = _c_sub(self.c, step)
-            self.c = (_dyadic(nxt[0], self.bits), _dyadic(nxt[1], self.bits))
+            # c - p(c)/p'(c) = (Z*D - P) * conj(D) / (|D|^2 * 2^b) with Z = x + iy
+            # and b the old bits, rounded to the new bits
+            nr = self.x * dr - self.y * di - pr
+            ni = self.x * di + self.y * dr - pi
+            self.x = _round_div((nr * dr + ni * di) << shift, w)
+            self.y = _round_div((ni * dr - nr * di) << shift, w)
         self._update_radius()
-        if self.rad is not None and old is not None and self.rad >= old:
+        if self.e is not None and old is not None and self.e <= old:
             self._stuck += 1
         else:
             self._stuck = 0
@@ -371,39 +369,44 @@ class _Handle:
         keeps -log2(radius) near the precision; a start merged with another
         by rounding only halves the radius per round on their root cluster,
         and a real start near a non-real pair never converges."""
-        return self._stuck >= 8 or self.bits > 8 * _frac_bits(self.radius()) + (1 << 12)
-
-
-def _disks_of(handle) -> list[tuple[Fraction, Fraction, Fraction]]:
-    (re, im), r = handle.center(), handle.radius()
-    if handle.is_real:
-        return [(re, im, r)]
-    return [(re, im, r), (re, -im, r)]
+        return self._stuck >= 8 or self.bits > 8 * (self.e or 0) + (1 << 12)
 
 
 def _disjoint(d1, d2) -> bool:
-    dx, dy = d1[0] - d2[0], d1[1] - d2[1]
-    s = d1[2] + d2[2]
-    return dx * dx + dy * dy > s * s
+    """Whether two dyadic disks (x, y, bits, e), centre (x + iy)/2^bits and
+    radius 2^-e, are disjoint: compared as integers at the common exponent
+    2^-s, s the largest bits or e."""
+    x1, y1, b1, e1 = d1
+    x2, y2, b2, e2 = d2
+    s = max(b1, b2, e1, e2)
+    dx = (x1 << (s - b1)) - (x2 << (s - b2))
+    dy = (y1 << (s - b1)) - (y2 << (s - b2))
+    r = (1 << (s - e1)) + (1 << (s - e2))
+    return dx * dx + dy * dy > r * r
 
 
 def _certify_layout(handles: list, eps: Fraction, max_rounds: int) -> bool:
     """Refine until all radii <= eps, complex boxes clear the real axis, and
-    all disks (including conjugate mirrors) are pairwise disjoint."""
+    all disks (including conjugate mirrors) are pairwise disjoint.
+
+    In integers: radius 2^-e <= eps iff e >= e_min, the least such e, and a
+    pair's centre clears its disk, y/2^bits > 2^-e, iff y*2^e > 2^bits.  A
+    handle whose radius certifies nothing (e None) always fails."""
+    e_min = (-(-eps.denominator // eps.numerator) - 1).bit_length()
     for _ in range(max_rounds):
         bad: set[int] = set()
         for i, h in enumerate(handles):
-            r = h.radius()
-            if r > eps or (not h.is_real and h.center()[1] <= r):
+            if h.e is None or h.e < e_min or (not h.is_real and h.y << h.e <= 1 << h.bits):
                 bad.add(i)
         if not bad:
+            # each handle's disk, and its conjugate mirror for a pair
+            disks = [[(h.x, y, h.bits, h.e) for y in ((h.y,) if h.is_real else (h.y, -h.y))]
+                     for h in handles]
             for i in range(len(handles)):
                 for j in range(i + 1, len(handles)):
-                    for da in _disks_of(handles[i]):
-                        for db in _disks_of(handles[j]):
-                            if not _disjoint(da, db):
-                                bad.add(i)
-                                bad.add(j)
+                    if not all(_disjoint(da, db) for da in disks[i] for db in disks[j]):
+                        bad.add(i)
+                        bad.add(j)
         if not bad:
             return True
         for i in bad:
@@ -511,14 +514,19 @@ def _refine_budget(p: IntPoly, eps: Fraction) -> int:
     requested radius: an exact root's radius halves each round, and a Newton
     step from a start in a simple root's quadratic basin does at least as
     well."""
-    return _separation_bits(p) + _frac_bits(eps) + 96
+    eps_bits = max(0, eps.denominator.bit_length() - eps.numerator.bit_length())
+    return _separation_bits(p) + eps_bits + 96
 
 
 def _proposals(p: IntPoly):
     """Starting points (one per real root and one per conjugate pair), each
     set with the dyadic precision of its handles: double-precision Aberth
     first, then mpmath at growing precision (the escalation path; mpmath is
-    imported only when it is reached)."""
+    imported only when it is reached).
+
+    mpmath starts keep the about 3.3*dps bits that mpmath resolved at dps
+    digits, plus a guard: fewer bits would round roots that mpmath
+    separated onto one start and cost another escalation."""
     starts = _aberth_starts(p)
     if starts is not None:
         yield starts, 64
@@ -527,7 +535,7 @@ def _proposals(p: IntPoly):
     for _ in range(7):
         starts = _complex_starts(p, dps)
         if starts is not None:
-            yield starts, max(64, 2 * dps)
+            yield starts, math.ceil(dps * math.log2(10)) + 8
         dps *= 2
 
 
@@ -685,16 +693,23 @@ def _product_poly(p: IntPoly) -> IntPoly:
     return IntPoly(tuple(c * a2 ** i for i, c in enumerate(sq.coeffs)))
 
 
-def _modsq_interval(handle, sqrt_bits: int) -> tuple[Fraction, Fraction]:
-    """Exact interval containing |root|^2 (|center| is exact on the axis)."""
-    (re, im), r = handle.center(), handle.radius()
-    m2 = re * re + im * im
-    if handle.is_exact:
+def _modsq_interval(h, sqrt_bits: int) -> tuple[Fraction, Fraction]:
+    """Exact interval containing |root|^2, (|c| -+ r)^2, from the handle's
+    integers at a common exponent: |c| is exact on the axis and bracketed
+    as by _sqrt_bounds off it."""
+    m2 = Fraction(h.x * h.x + h.y * h.y, 1 << (2 * h.bits))
+    if h.is_exact:
         return m2, m2
-    slo, shi = (abs(re), abs(re)) if handle.is_real else _sqrt_bounds(m2, sqrt_bits)
-    lo = max(_ZERO, slo - r)
-    hi = shi + r
-    return lo * lo, hi * hi
+    if h.is_real:
+        lo, hi, s = abs(h.x), abs(h.x), h.bits
+    else:
+        den = m2.denominator << sqrt_bits
+        lo = math.isqrt(m2.numerator * den << sqrt_bits)
+        hi, s = lo + 1, den.bit_length() - 1
+    e = h.e or 0
+    t = max(s, e)
+    lo, hi = max(0, (lo << (t - s)) - (1 << (t - e))), (hi << (t - s)) + (1 << (t - e))
+    return Fraction(lo * lo, 1 << (2 * t)), Fraction(hi * hi, 1 << (2 * t))
 
 
 def _spans_intersect(lo: Fraction, hi: Fraction, rec: _RealRoot) -> bool:
@@ -711,8 +726,7 @@ def _pin_real_signs(handles: list, cap_rounds: int) -> None:
         if not h.is_real:
             continue
         for _ in range(cap_rounds):
-            (re, _), r = h.center(), h.radius()
-            if re > r or -re > r:
+            if abs(h.x) << (h.e or 0) > 1 << h.bits:  # |c| > radius
                 break
             h.shrink()
         else:
@@ -730,20 +744,18 @@ def _match_moduli(handles: list, q_sf: IntPoly, cap_bits: int) -> list[_RealRoot
                 rec.exact = Fraction(1)
                 break
     matches: list[_RealRoot | None] = [None] * len(handles)
-    cap_radius = Fraction(1, 1 << cap_bits)
     for _ in range(cap_bits + 64):
         progress_needed = False
         for i, h in enumerate(handles):
             if matches[i] is not None:
                 continue
-            sqrt_bits = max(32, _frac_bits(h.radius()) + 8)
-            lo, hi = _modsq_interval(h, sqrt_bits)
+            lo, hi = _modsq_interval(h, max(32, (h.e or 0) + 8))
             cands = [rec for rec in records if _spans_intersect(lo, hi, rec)]
             if len(cands) == 1:
                 matches[i] = cands[0]
                 continue
             progress_needed = True
-            if h.radius() < cap_radius:
+            if (h.e or 0) > cap_bits:  # radius below 2^-cap_bits
                 raise UnresolvedCertification(
                     "modulus matching exceeded the refinement cap"
                 )
@@ -765,7 +777,7 @@ def _versus_one(rec: _RealRoot, cap_bits: int) -> str:
         if a >= 1:
             return GT
         # the exact-1 case was pinned before matching, so the root is not 1
-        if rec.width() < Fraction(1, 1 << cap_bits):
+        if b - a < Fraction(1, 1 << cap_bits):
             raise UnresolvedCertification("comparison against 1 exceeded the cap")
         rec.refine_step()
     raise UnresolvedCertification("comparison against 1 did not converge")
@@ -863,10 +875,26 @@ def ratio_polynomial(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     return full, reduced
 
 
+_PROBE = 1 << 64
+
+
+@functools.cache
+def _cyclotomic_at_probe(m: int) -> int:
+    return cyclotomic(m).eval_int(_PROBE)
+
+
 def _orders_from_reduced(reduced: IntPoly, k: int) -> list[int]:
+    """The m with phi(m) <= min(k^2, deg) whose cyclotomic polynomial divides
+    the reduced ratio polynomial R.
+
+    Most candidates fail, and one integer remainder proves it: Phi_m is
+    monic, so Phi_m | R in Z[x] means R = Phi_m * S with S in Z[x], hence
+    Phi_m(T) | R(T) for every integer T.  With T = 2^64 (Phi_m(T) > 0),
+    R(T) mod Phi_m(T) != 0 rules Phi_m out; only the rest are divided."""
+    r_at = reduced.eval_int(_PROBE)
     return [
         m for m in orders_with_phi_at_most(min(k * k, reduced.degree))
-        if cyclotomic(m).divides(reduced)
+        if r_at % _cyclotomic_at_probe(m) == 0 and cyclotomic(m).divides(reduced)
     ]
 
 
@@ -895,7 +923,7 @@ def _ratio_disk(pair_handle):
         center = _c_div((c[0], -c[1]), c)
         return center, pair_handle.radius()
     m2 = _c_abs2(c)
-    slo, _ = _sqrt_bounds(m2, max(32, _frac_bits(r) + 8))
+    slo, _ = _sqrt_bounds(m2, max(32, (pair_handle.e or 0) + 8))
     if slo <= r:
         return None
     center = _c_div((c[0], -c[1]), c)
@@ -933,14 +961,15 @@ def _attribute_pair(
         if disk is None:
             pair_handle.shrink()
             continue
-        center, rad = disk
-        ratio_disk = (center[0], center[1], rad)
+        (cx, cy), rad = disk
 
         def hits(handles) -> bool:
+            """Whether the ratio disk meets a handle's disk or its mirror."""
             return any(
-                not _disjoint(ratio_disk, db)
+                (cx - h.center()[0]) ** 2 + (cy - sign * h.center()[1]) ** 2
+                <= (rad + h.radius()) ** 2
                 for h in handles
-                for db in _disks_of(h)
+                for sign in ((1,) if h.is_real else (1, -1))
             )
 
         hit_orders = [m for m in candidate_orders if hits(unity_handles[m])]

@@ -13,7 +13,10 @@ These deliberately avoid the production code paths they check:
 * eventually_periodic_oracle tries every (period, preperiod) pair and
   rescans the whole tail for each instead of one backward scan per period;
 * verify_recurrence_oracle checks every relation forward over Fractions
-  instead of scanning cleared integers backward.
+  instead of scanning cleared integers backward;
+* FractionHandle refines a root candidate by Newton steps on Gaussian
+  rationals instead of the scaled Gaussian integers of spectra._Handle, and
+  modsq_interval_oracle bounds |root|^2 from its Fraction centre and radius.
 
 The small polynomial helpers (poly_from_roots, poly_pow, eval_fraction,
 poly_at_matrix) build test inputs and evaluate them exactly, and
@@ -264,3 +267,99 @@ def random_unimodular(rng: random.Random, k: int, steps: int = 12) -> IntMatrix:
             i2 = rng.randrange(k)
             rows[i2] = [-x for x in rows[i2]]
     return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def _dyadic(x: Fraction, bits: int) -> Fraction:
+    """Round to the nearest multiple of 2^-bits, ties upward."""
+    q, r = divmod(x.numerator << bits, x.denominator)
+    return Fraction(q + (2 * r >= x.denominator), 1 << bits)
+
+
+def _eval_gaussian(p: IntPoly, z: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(p.coeffs):
+        acc = (acc[0] * z[0] - acc[1] * z[1] + c, acc[0] * z[1] + acc[1] * z[0])
+    return acc
+
+
+class FractionHandle:
+    """spectra._Handle in Fractions: the centre is a Gaussian rational
+    rounded to 2^-bits after each Newton step c - p(c)/p'(c), and the radius
+    is the least 2^-e, e >= 1, with d^2 |p(c)|^2 <= 2^-2e |p'(c)|^2 (None
+    when that is above 1/2 or p'(c) = 0)."""
+
+    def __init__(self, poly: IntPoly, start: tuple[Fraction, Fraction], bits: int):
+        self.poly, self.deriv = poly, poly.derivative()
+        self.c = (_dyadic(start[0], bits), _dyadic(start[1], bits))
+        self.bits = bits
+        self.rad: Fraction | None = None
+        self.is_exact = False
+        self._stuck = 0
+        self._update_radius()
+
+    def center(self) -> tuple[Fraction, Fraction]:
+        return self.c
+
+    def radius(self) -> Fraction:
+        return self.rad if self.rad is not None else Fraction(1)
+
+    def _update_radius(self) -> None:
+        self.pc = _eval_gaussian(self.poly, self.c)
+        self.dpc = _eval_gaussian(self.deriv, self.c)
+        v = self.pc[0] ** 2 + self.pc[1] ** 2
+        if v == 0:
+            self.is_exact = True
+            if self.rad is None:
+                self.rad = Fraction(1, 1 << self.bits)
+            return
+        w = self.dpc[0] ** 2 + self.dpc[1] ** 2
+        if w == 0:
+            self.rad = None
+            return
+        t = self.poly.degree ** 2 * v / w
+        num, den = t.numerator, t.denominator
+        e = max(0, (den.bit_length() - num.bit_length()) // 2)
+        while e > 0 and num << (2 * e) > den:
+            e -= 1
+        while num << (2 * e + 2) <= den:
+            e += 1
+        self.rad = Fraction(1, 1 << e) if e >= 1 else None
+
+    def shrink(self) -> None:
+        if self.is_exact:
+            self.rad /= 2
+            return
+        old = self.rad
+        self.bits = min(self.bits * 2, self.bits + (1 << 14))
+        (pr, pi), (dr, di) = self.pc, self.dpc
+        if dr == di == 0:
+            self.c = (self.c[0] + Fraction(1, 1 << self.bits), self.c[1])
+        else:
+            w = dr * dr + di * di
+            step = ((pr * dr + pi * di) / w, (pi * dr - pr * di) / w)
+            nxt = (self.c[0] - step[0], self.c[1] - step[1])
+            self.c = (_dyadic(nxt[0], self.bits), _dyadic(nxt[1], self.bits))
+        self._update_radius()
+        if self.rad is not None and old is not None and self.rad >= old:
+            self._stuck += 1
+        else:
+            self._stuck = 0
+
+    @property
+    def stuck(self) -> bool:
+        e = self.radius().denominator.bit_length() - 1
+        return self._stuck >= 8 or self.bits > 8 * e + (1 << 12)
+
+
+def modsq_interval_oracle(handle, sqrt_bits: int) -> tuple[Fraction, Fraction]:
+    """(|c| - r)^2 and (|c| + r)^2 in Fractions, |c| bracketed by
+    spectra._sqrt_bounds off the axis."""
+    from monodeg.spectra import _sqrt_bounds
+
+    (re, im), r = handle.center(), handle.radius()
+    m2 = re * re + im * im
+    if handle.is_exact:
+        return m2, m2
+    slo, shi = (abs(re), abs(re)) if handle.is_real else _sqrt_bounds(m2, sqrt_bits)
+    lo, hi = max(Fraction(0), slo - r), shi + r
+    return lo * lo, hi * hi

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import monodeg
 from monodeg import spectra
-from monodeg.errors import RankDeficient
+from monodeg.errors import RankDeficient, UnresolvedCertification
 from monodeg.exact import IntMatrix, IntPoly, char_poly, cyclotomic, det, poly_gcd
 from monodeg.spectra import (
     EQ,
@@ -29,6 +29,8 @@ from monodeg.spectra import (
 
 from conftest import NO_RECURRENCE_3X3, PAIR_2X2, QUARTER_ROTATION
 from oracles import (
+    FractionHandle,
+    modsq_interval_oracle,
     polyroots_oracle,
     poly_pow,
     random_rank_matrix,
@@ -175,6 +177,113 @@ def _assert_isolates(p, boxes):
             assert dx * dx + dy * dy > s * s
 
 
+def _handle_cases():
+    """(poly, start, bits): five named cases, then seeded random squarefree
+    polynomials of degree 1..10 with real and upper half-plane starts.
+    Start precisions stay small so that 12 doublings stay cheap."""
+    cases = [
+        # (x - 1)(x^2 + 1) started on its root 1: the exact-root path
+        (IntPoly((-1, 1, -1, 1)), (Fraction(1), Fraction(0)), 64),
+        # x^2 - 2 started at 0, where p' vanishes: the nudge path
+        (IntPoly((-2, 0, 1)), (Fraction(0), Fraction(0)), 8),
+        # every step of 3x - 1 from 2^14 + 1 bits takes the bits + 2^14 cap
+        (IntPoly((-1, 3)), (Fraction(1, 7), Fraction(0)), (1 << 14) + 1),
+        # a start halfway between dyadic points (rounded upward), and a
+        # radius d|p(c)|/|p'(c)| = |c - 1/2| of exactly 2^-3
+        (IntPoly((1, 0, 1)), (Fraction(-3, 8), Fraction(5, 8)), 2),
+        (IntPoly((-1, 2)), (Fraction(5, 8), Fraction(0)), 3),
+    ]
+    rng = random.Random(4099)
+    while len(cases) < 35:
+        d = rng.randint(1, 10)
+        p = IntPoly(tuple(rng.randint(-9, 9) for _ in range(d)) + (rng.randint(1, 9),))
+        if poly_gcd(p, p.derivative()).degree > 0:
+            continue
+        re = Fraction(rng.randint(-3 << 20, 3 << 20), 1 << 20)
+        im = Fraction(rng.randint(1, 3 << 20), 1 << 20) if rng.random() < 0.5 else Fraction(0)
+        cases.append((p, (re, im), rng.randint(1, 2)))
+    return cases
+
+
+def _dyadic_disk(rng):
+    bits, e = rng.randint(0, 12), rng.randint(0, 12)
+    return (rng.randint(-1 << 10, 1 << 10), rng.randint(-1 << 10, 1 << 10), bits, e)
+
+
+def _disjoint_fraction(d1, d2) -> bool:
+    (x1, y1, b1, e1), (x2, y2, b2, e2) = d1, d2
+    dx = Fraction(x1, 1 << b1) - Fraction(x2, 1 << b2)
+    dy = Fraction(y1, 1 << b1) - Fraction(y2, 1 << b2)
+    s = Fraction(1, 1 << e1) + Fraction(1, 1 << e2)
+    return dx * dx + dy * dy > s * s
+
+
+class TestIntegerHandle:
+    @pytest.mark.parametrize("case", _handle_cases(), ids=lambda c: f"{c[0].coeffs}@{c[2]}")
+    def test_matches_fraction_oracle(self, case):
+        p, start, bits = case
+        h, ref = spectra._Handle(p, start, bits), FractionHandle(p, start, bits)
+        for step in range(13):
+            if step:
+                h.shrink()
+                ref.shrink()
+            assert h.center() == ref.center()
+            assert h.radius() == ref.radius()
+            assert (h.is_exact, h.stuck, h._stuck) == (ref.is_exact, ref.stuck, ref._stuck)
+
+    def test_named_paths_are_reached(self):
+        exact, nudge, cap, tie, boundary = _handle_cases()[:5]
+        h = spectra._Handle(*exact)
+        assert h.is_exact and h.center() == (1, 0)
+        h = spectra._Handle(*nudge)
+        assert h.dpc == (0, 0)
+        h.shrink()
+        assert h.x == 1 and h.bits == 16
+        h = spectra._Handle(*cap)
+        h.shrink()
+        assert h.bits == cap[2] + (1 << 14)
+        assert spectra._Handle(*tie).center() == (Fraction(-1, 4), Fraction(3, 4))
+        assert spectra._Handle(*boundary).radius() == Fraction(1, 8)
+
+    def test_modulus_interval_matches_fraction_formula(self):
+        for p, start, bits in _handle_cases():
+            h = spectra._Handle(p, start, bits)
+            for _ in range(5):
+                for sqrt_bits in (32, 40 + (h.e or 0)):
+                    got = spectra._modsq_interval(h, sqrt_bits)
+                    assert got == modsq_interval_oracle(h, sqrt_bits)
+                h.shrink()
+
+    def test_boundaries_are_not_certified(self):
+        # a pair's centre exactly one radius above the axis, and a real
+        # centre exactly one radius from 0, are not yet separated
+        h = spectra._Handle(IntPoly((1, 0, 1)), (Fraction(1, 4), Fraction(1)), 8)
+        h.x, h.y, h.bits, h.e = 0, 1, 8, 8
+        assert not spectra._certify_layout([h], Fraction(1, 16), 1)
+        h.x, h.y, h.bits, h.e = 0, 2, 8, 8
+        assert spectra._certify_layout([h], Fraction(1, 16), 1)
+        h = spectra._Handle(IntPoly((-2, 0, 1)), (Fraction(1), Fraction(0)), 8)
+        h.x, h.bits, h.e = 1, 8, 8
+        with pytest.raises(UnresolvedCertification):
+            spectra._pin_real_signs([h], 1)
+
+    def test_disjoint_matches_fraction_formula(self):
+        rng = random.Random(77)
+        for _ in range(3000):
+            d1, d2 = _dyadic_disk(rng), _dyadic_disk(rng)
+            assert spectra._disjoint(d1, d2) == _disjoint_fraction(d1, d2)
+        # equal radii, tangent and just apart, at different exponents
+        for b1, b2, e in [(3, 7, 5), (9, 2, 4), (0, 12, 12)]:
+            for gap in (0, 1):
+                # centres 0 and 2^(1-e) + gap*2^-(max bits): tangent when gap = 0
+                s = max(b1, b2, e)
+                d1 = (0, 0, b1, e)
+                d2 = ((1 << (s - e + 1)) + gap, 0, s, e)
+                assert spectra._disjoint(d1, d2) == bool(gap) == _disjoint_fraction(d1, d2)
+                d2 = (0, (1 << (s - e + 1)) + gap, s, e)
+                assert spectra._disjoint(d1, d2) == bool(gap) == _disjoint_fraction(d1, d2)
+
+
 class TestProposers:
     def test_large_coefficient_escalates_to_mpmath(self, monkeypatch):
         calls = []
@@ -220,6 +329,23 @@ class TestProposers:
         p = IntPoly(tuple(c))
         _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
 
+    def test_clustered_roots_need_one_mpmath_call(self, monkeypatch):
+        # x^5 - 2(10^9 x - 1)^2 has two real roots about 4e-32 apart near
+        # 1e-9: mpmath separates them at 35 digits, and starts kept at the
+        # precision mpmath worked at stay apart, so no escalation follows
+        calls = []
+        mp_starts = spectra._complex_starts
+
+        def spy(p, dps):
+            calls.append(dps)
+            return mp_starts(p, dps)
+
+        monkeypatch.setattr(spectra, "_complex_starts", spy)
+        a = 10**9
+        p = IntPoly((-2, 4 * a, -2 * a * a, 0, 0, 1))
+        _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
+        assert calls == [35]
+
     def test_far_pair_and_small_real_root(self):
         x = IntPoly((0, 1))
         shifted = x - IntPoly((2**20,))
@@ -227,8 +353,6 @@ class TestProposers:
         _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
 
     def test_no_proposer_is_unresolved(self, monkeypatch):
-        from monodeg.errors import UnresolvedCertification
-
         monkeypatch.setattr(spectra, "_aberth_starts", lambda p: None)
         monkeypatch.setattr(spectra, "_complex_starts", lambda p, dps: None)
         # with no float starts even an all-real polynomial stays unresolved
