@@ -47,12 +47,10 @@ from .recur import (
 )
 from .spectra import (
     ModulusClass,
-    ModulusClassification,
     RatioFlag,
     RootBox,
     SpectralSummary,
     isolate_roots,
-    modulus_classes,
     ratio_polynomial,
     spectral_summary,
     squarefree_part,

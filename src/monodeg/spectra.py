@@ -25,11 +25,13 @@ modulus comparisons) is established in exact arithmetic:
   also holds the conjugate of each root it holds (p has real coefficients).
 
 Newton steps, inclusion radii and the layout tests run on dyadic integers (a
-centre (x + iy)/2^bits, a radius 2^-e); Fraction appears only in the public
-RootBox view and in the Sturm and modulus-comparison layer.
+centre (x + iy)/2^bits, a radius 2^-e), and so does the modulus comparison;
+Fraction appears only in the public RootBox view and the ratio disks.
 
-Sturm bisection with integer sign evaluation serves only the product
-polynomial, whose real roots are the only ones the modulus comparison needs.
+The modulus comparison never isolates the product polynomial's real roots:
+Sturm counts with integer sign evaluation at the dyadic ends of each
+handle's |root|^2 span decide which spans pin one root, which hold the same
+one, and where each lies against 1 (_partition_by_modulus).
 
 A Mahler-type root-separation lower bound (valid because the discriminant of
 a squarefree integer polynomial is a nonzero integer) bounds the refinement
@@ -96,21 +98,6 @@ def _sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(t, den), Fraction(t + 1, den)
 
 
-def _root_bound_pow2(p: IntPoly) -> int:
-    """Power-of-two B with every complex root of p inside |z| < B
-    (Fujiwara-style bound from coefficient bit lengths)."""
-    d = p.degree
-    lc_bits = abs(p.lc).bit_length()
-    e = 1
-    for i in range(d):
-        ci = abs(p.coeff(i))
-        if ci == 0:
-            continue
-        num = ci.bit_length() - lc_bits + 1
-        e = max(e, -(-num // (d - i)))
-    return 1 << (e + 1)
-
-
 def _separation_bits(p: IntPoly) -> int:
     """bits such that 2^-bits is below the minimal distance between distinct
     roots of the squarefree polynomial p.
@@ -149,8 +136,7 @@ def _poly_eval_complex(p: IntPoly, z) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Real roots of the product polynomial: Sturm isolation with exact integer
-# sign evaluation
+# Sturm counts with exact integer sign evaluation
 # ---------------------------------------------------------------------------
 
 def _sturm_chain(p: IntPoly) -> list[IntPoly]:
@@ -176,91 +162,26 @@ def _sturm_chain(p: IntPoly) -> list[IntPoly]:
     return chain
 
 
-def _variations(chain: list[IntPoly], x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    signs = []
-    for q in chain:
-        s = q.sign_at(num, den)
-        if s:
-            signs.append(s)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+def _sturm_count(chain: list[IntPoly], lo: int, hi: int, s: int) -> int:
+    """Number of distinct roots of the squarefree chain[0] in the closed
+    interval [lo/2^s, hi/2^s], lo <= hi.
 
+    Sturm's theorem counts the roots in (lo, hi] as V(lo) - V(hi), V the sign
+    variations along the chain with zeros dropped.  That holds at endpoints
+    that are roots too: p and p' share their sign just right of a simple
+    root, so V there equals V just right of it.  A root at lo is added.
+    """
+    den = 1 << s
 
-class _RealRoot:
-    """One isolated real root: either exact rational or a sign-change bracket
-    (lo, hi) with the root strictly inside and p nonzero at both endpoints."""
+    def signs(x: int) -> list[int]:
+        return [q.sign_at(x, den) for q in chain]
 
-    __slots__ = ("poly", "exact", "lo", "hi", "sign_lo")
+    def variations(sg: list[int]) -> int:
+        nz = [v for v in sg if v]
+        return sum(a != b for a, b in zip(nz, nz[1:]))
 
-    def __init__(self, poly: IntPoly, exact: Fraction | None, lo=None, hi=None, sign_lo=0):
-        self.poly = poly
-        self.exact = exact
-        self.lo = lo
-        self.hi = hi
-        self.sign_lo = sign_lo
-
-    def span(self) -> tuple[Fraction, Fraction]:
-        if self.exact is not None:
-            return self.exact, self.exact
-        return self.lo, self.hi
-
-    def refine_step(self) -> None:
-        if self.exact is not None:
-            return
-        mid = (self.lo + self.hi) / 2
-        s = self.poly.sign_at(mid.numerator, mid.denominator)
-        if s == 0:
-            self.exact = mid
-        elif s == self.sign_lo:
-            self.lo = mid
-        else:
-            self.hi = mid
-
-
-def _isolate_real_roots(p: IntPoly) -> list[_RealRoot]:
-    """Disjoint records, one per real root of the squarefree polynomial p."""
-    if p.degree < 1:
-        return []
-    chain = _sturm_chain(p)
-    bound = _root_bound_pow2(p)
-    while p.sign_at(-bound, 1) == 0 or p.sign_at(bound, 1) == 0:
-        bound <<= 1
-    lo, hi = Fraction(-bound), Fraction(bound)
-    out: list[_RealRoot] = []
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        count = va - vb
-        if count <= 0:
-            continue
-        if count == 1:
-            sa = p.sign_at(a.numerator, a.denominator)
-            out.append(_RealRoot(p, None, a, b, sa))
-            continue
-        mid = (a + b) / 2
-        smid = p.sign_at(mid.numerator, mid.denominator)
-        if smid != 0:
-            vm = _variations(chain, mid)
-            stack.append((a, mid, va, vm))
-            stack.append((mid, b, vm, vb))
-            continue
-        # exact rational root at mid: isolate a punctured neighbourhood
-        w = (b - a) / 4
-        while True:
-            l, r = mid - w, mid + w
-            if (
-                p.sign_at(l.numerator, l.denominator) != 0
-                and p.sign_at(r.numerator, r.denominator) != 0
-                and _variations(chain, l) - _variations(chain, r) == 1
-            ):
-                break
-            w /= 2
-        out.append(_RealRoot(p, mid))
-        vl, vr = _variations(chain, mid - w), _variations(chain, mid + w)
-        stack.append((a, mid - w, va, vl))
-        stack.append((mid + w, b, vr, vb))
-    out.sort(key=lambda rec: rec.span()[0])
-    return out
+    at_lo = signs(lo)
+    return variations(at_lo) - variations(signs(hi)) + (at_lo[0] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +502,6 @@ class RatioFlag:
 
 
 @dataclass(frozen=True)
-class ModulusClassification:
-    roots: tuple[RootBox, ...]
-    classes: tuple[ModulusClass, ...]
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
     char_poly: IntPoly
     roots: tuple[RootBox, ...]
@@ -693,30 +608,44 @@ def _product_poly(p: IntPoly) -> IntPoly:
     return IntPoly(tuple(c * a2 ** i for i, c in enumerate(sq.coeffs)))
 
 
-def _modsq_interval(h, sqrt_bits: int) -> tuple[Fraction, Fraction]:
-    """Exact interval containing |root|^2, (|c| -+ r)^2, from the handle's
-    integers at a common exponent: |c| is exact on the axis and bracketed
-    as by _sqrt_bounds off it."""
-    m2 = Fraction(h.x * h.x + h.y * h.y, 1 << (2 * h.bits))
+def _modsq_interval(h, sqrt_bits: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with |root|^2 in [lo/2^s, hi/2^s]: (|c| -+ r)^2 from the
+    handle's integers at a common exponent.  |c| is exact on the axis and
+    bracketed off it as by _sqrt_bounds, which reduces |c|^2 to lowest
+    terms first."""
+    n, b2 = h.x * h.x + h.y * h.y, 2 * h.bits
     if h.is_exact:
-        return m2, m2
+        return n, n, b2
     if h.is_real:
         lo, hi, s = abs(h.x), abs(h.x), h.bits
     else:
-        den = m2.denominator << sqrt_bits
-        lo = math.isqrt(m2.numerator * den << sqrt_bits)
-        hi, s = lo + 1, den.bit_length() - 1
+        tz = math.gcd(n, 1 << b2).bit_length() - 1  # |c|^2 = n/2^b2 in lowest terms
+        n, b2 = n >> tz, b2 - tz
+        lo = math.isqrt(n << (b2 + 2 * sqrt_bits))
+        hi, s = lo + 1, b2 + sqrt_bits
     e = h.e or 0
     t = max(s, e)
     lo, hi = max(0, (lo << (t - s)) - (1 << (t - e))), (hi << (t - s)) + (1 << (t - e))
-    return Fraction(lo * lo, 1 << (2 * t)), Fraction(hi * hi, 1 << (2 * t))
+    return lo * lo, hi * hi, 2 * t
 
 
-def _spans_intersect(lo: Fraction, hi: Fraction, rec: _RealRoot) -> bool:
-    a, b = rec.span()
-    if a == b:  # exact point
-        return lo <= a <= hi
-    return not (hi <= a or lo >= b)
+def _round_out(span: tuple[int, int, int], c: int) -> tuple[int, int, int]:
+    """The dyadic span (lo, hi, s) widened to multiples of 2^-c when s > c."""
+    lo, hi, s = span
+    if s <= c:
+        return span
+    return lo >> (s - c), -(-hi >> (s - c)), c
+
+
+def _hull(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int] | None:
+    """The smallest span holding two overlapping closed spans, or None when
+    they are disjoint."""
+    (l1, h1, s1), (l2, h2, s2) = a, b
+    s = max(s1, s2)
+    l1, h1, l2, h2 = l1 << (s - s1), h1 << (s - s1), l2 << (s - s2), h2 << (s - s2)
+    if h1 < l2 or h2 < l1:
+        return None
+    return min(l1, l2), max(h1, h2), s
 
 
 def _pin_real_signs(handles: list, cap_rounds: int) -> None:
@@ -733,96 +662,77 @@ def _pin_real_signs(handles: list, cap_rounds: int) -> None:
             raise UnresolvedCertification("could not certify the sign of a real root")
 
 
-def _match_moduli(handles: list, q_sf: IntPoly, cap_bits: int) -> list[_RealRoot]:
-    """Match every handle's |root|^2 to exactly one real-root record of q_sf."""
-    records = _isolate_real_roots(q_sf)
-    # unit modulus is common: pin 1 exactly up front when it is a root
-    if q_sf.eval_int(1) == 0:
-        for rec in records:
-            a, b = rec.span()
-            if a <= 1 <= b:
-                rec.exact = Fraction(1)
-                break
-    matches: list[_RealRoot | None] = [None] * len(handles)
-    for _ in range(cap_bits + 64):
-        progress_needed = False
-        for i, h in enumerate(handles):
-            if matches[i] is not None:
-                continue
-            lo, hi = _modsq_interval(h, max(32, (h.e or 0) + 8))
-            cands = [rec for rec in records if _spans_intersect(lo, hi, rec)]
-            if len(cands) == 1:
-                matches[i] = cands[0]
-                continue
-            progress_needed = True
-            if (h.e or 0) > cap_bits:  # radius below 2^-cap_bits
-                raise UnresolvedCertification(
-                    "modulus matching exceeded the refinement cap"
-                )
-            h.shrink()
-            for rec in cands:
-                rec.refine_step()
-        if not progress_needed:
-            return matches  # type: ignore[return-value]
-    raise UnresolvedCertification("modulus matching did not converge")
-
-
-def _versus_one(rec: _RealRoot, cap_bits: int) -> str:
-    for _ in range(cap_bits + 64):
-        a, b = rec.span()
-        if a == b:
-            return EQ if a == 1 else (GT if a > 1 else LT)
-        if b <= 1:
-            return LT
-        if a >= 1:
-            return GT
-        # the exact-1 case was pinned before matching, so the root is not 1
-        if b - a < Fraction(1, 1 << cap_bits):
-            raise UnresolvedCertification("comparison against 1 exceeded the cap")
-        rec.refine_step()
-    raise UnresolvedCertification("comparison against 1 did not converge")
-
-
 def _partition_by_modulus(
     handles: list, p_sf: IntPoly, cap_bits: int
 ) -> tuple[ModulusClass, ...]:
-    _pin_real_signs(handles, cap_bits + 64)
-    q = _product_poly(p_sf)
-    q_sf, _ = squarefree_part(q)
-    matches = _match_moduli(handles, q_sf, cap_bits)
-    groups: dict[int, list[int]] = {}
-    reps: dict[int, _RealRoot] = {}
-    for i, rec in enumerate(matches):
-        key = id(rec)
-        groups.setdefault(key, []).append(i)
-        reps[key] = rec
-    keyed = sorted(groups, key=lambda k: reps[k].span()[0], reverse=True)
-    return tuple(
-        ModulusClass(tuple(groups[key]), _versus_one(reps[key], cap_bits)) for key in keyed
-    )
+    """Equal-modulus classes of the handles' roots, largest modulus first,
+    each compared against 1; indices are handle indices.
 
+    Every |root|^2 is a real root of the squarefree part Q of the product
+    polynomial, and lies in its handle's span from _modsq_interval.  Sturm
+    counts on Q decide everything exactly, on the spans alone:
 
-def modulus_classes(p: IntPoly, cap_bits: int = 256) -> ModulusClassification:
-    """Partition the roots of a squarefree p (p(0) != 0) into certified
-    equal-modulus classes, each compared against modulus 1.
+    * a span that holds exactly one root of Q pins its |root|^2;
+    * two such spans hold equal moduli exactly when their hull holds one
+      root: disjoint spans hold different roots, and the hull of two that
+      overlap holds both roots;
+    * with Q(1) = 0, a span holding 1 and one root has modulus 1; with
+      Q(1) != 0, a span clear of 1 lies wholly above or below it.
 
-    Works through the product polynomial Q: each |root|^2 is itself a real
-    root of Q, so exact interval matching against Q's isolated real roots
-    decides equality of moduli and the comparison with 1 without any floating
-    point.
+    So the spans are refined until each holds one root, overlapping spans
+    have a one-root hull and none holds 1 unless Q(1) = 0; overlap then
+    groups the classes, and the spans order them.  No other root of Q is
+    ever isolated.  The spans are first rounded outward to multiples of 2^-c,
+    c = 8, 16, 32, ..., which keeps the Sturm evaluations at small
+    denominators while the moduli are far apart; a failing handle shrinks
+    only once c reaches its span's own exponent, and not beyond the cap.
     """
-    if not _is_squarefree(p):
-        raise ValueError("modulus classes need a squarefree polynomial")
-    if p.constant == 0:
-        raise ValueError("modulus classes need p(0) != 0")
-    ordered = _order_handles(
-        _isolate_handles(p, Fraction(1, 1 << _DEFAULT_EPS_BITS))
-    )
-    classes = _partition_by_modulus(ordered, p.primitive_positive(), cap_bits)
-    return ModulusClassification(
-        roots=_boxes_from_ordered(ordered),
-        classes=_expand_classes(classes, ordered),
-    )
+    _pin_real_signs(handles, cap_bits + 64)
+    q_sf, _ = squarefree_part(_product_poly(p_sf))
+    chain = _sturm_chain(q_sf)
+    one_is_root = q_sf.eval_int(1) == 0
+    c = 8
+    for _ in range(cap_bits + 64):
+        own = [_modsq_interval(h, max(32, (h.e or 0) + 8)) for h in handles]
+        spans = [_round_out(span, c) for span in own]
+        bad = {
+            i for i, (lo, hi, s) in enumerate(spans)
+            if _sturm_count(chain, lo, hi, s) != 1 or (not one_is_root and lo <= 1 << s <= hi)
+        }
+        good = [i for i in range(len(spans)) if i not in bad]
+        for a, i in enumerate(good):
+            for j in good[a + 1:]:
+                hull = _hull(spans[i], spans[j])
+                if hull is not None and _sturm_count(chain, *hull) != 1:
+                    bad.update((i, j))
+        if not bad:
+            break
+        for i in bad:
+            if own[i][2] <= c:
+                if (handles[i].e or 0) > cap_bits:  # radius below 2^-cap_bits
+                    raise UnresolvedCertification(
+                        "modulus matching exceeded the refinement cap"
+                    )
+                handles[i].shrink()
+        c *= 2
+    else:
+        raise UnresolvedCertification("modulus matching did not converge")
+    groups: list[list[int]] = []
+    for i, span in enumerate(spans):
+        for g in groups:
+            if _hull(spans[g[0]], span) is not None:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    top = max(s for _, _, s in spans)
+    groups.sort(key=lambda g: spans[g[0]][0] << (top - spans[g[0]][2]), reverse=True)
+    classes = []
+    for g in groups:
+        lo, hi, s = spans[g[0]]
+        one = 1 << s
+        classes.append(ModulusClass(tuple(g), EQ if lo <= one <= hi else (LT if hi < one else GT)))
+    return tuple(classes)
 
 
 def _expand_classes(
@@ -1092,12 +1002,10 @@ __all__ = [
     "UNRESOLVED",
     "RootBox",
     "ModulusClass",
-    "ModulusClassification",
     "RatioFlag",
     "SpectralSummary",
     "squarefree_part",
     "isolate_roots",
-    "modulus_classes",
     "ratio_polynomial",
     "unity_ratio_orders",
     "spectral_summary",

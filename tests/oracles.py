@@ -16,12 +16,17 @@ These deliberately avoid the production code paths they check:
   instead of scanning cleared integers backward;
 * FractionHandle refines a root candidate by Newton steps on Gaussian
   rationals instead of the scaled Gaussian integers of spectra._Handle, and
-  modsq_interval_oracle bounds |root|^2 from its Fraction centre and radius.
+  modsq_interval_oracle bounds |root|^2 from its Fraction centre and radius;
+* modulus_classes_oracle isolates every real root of the product polynomial
+  by Sturm bisection over Fractions and matches the handles' |root|^2
+  intervals against those records, instead of Sturm counts on the handles'
+  own dyadic spans.
 
 The small polynomial helpers (poly_from_roots, poly_pow, eval_fraction,
 poly_at_matrix) build test inputs and evaluate them exactly, and
-check_candidate verifies a monic polynomial as a recurrence; the package has
-no use for them.
+check_candidate verifies a monic polynomial as a recurrence, and
+root_bound_pow2 bounds its roots by a power of two; the package has no use
+for them.
 """
 
 from __future__ import annotations
@@ -363,3 +368,157 @@ def modsq_interval_oracle(handle, sqrt_bits: int) -> tuple[Fraction, Fraction]:
     slo, shi = (abs(re), abs(re)) if handle.is_real else _sqrt_bounds(m2, sqrt_bits)
     lo, hi = max(Fraction(0), slo - r), shi + r
     return lo * lo, hi * hi
+
+
+def root_bound_pow2(p: IntPoly) -> int:
+    """Power-of-two B with every complex root of p inside |z| < B
+    (Fujiwara-style bound from coefficient bit lengths)."""
+    d = p.degree
+    lc_bits = abs(p.lc).bit_length()
+    e = 1
+    for i in range(d):
+        ci = abs(p.coeff(i))
+        if ci == 0:
+            continue
+        num = ci.bit_length() - lc_bits + 1
+        e = max(e, -(-num // (d - i)))
+    return 1 << (e + 1)
+
+
+def _variations(chain: list[IntPoly], x: Fraction) -> int:
+    signs = [s for s in (q.sign_at(x.numerator, x.denominator) for q in chain) if s]
+    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+
+
+class _RealRoot:
+    """One isolated real root: either exact rational or a sign-change bracket
+    (lo, hi) with the root strictly inside and p nonzero at both endpoints."""
+
+    def __init__(self, poly: IntPoly, exact: Fraction | None, lo=None, hi=None, sign_lo=0):
+        self.poly, self.exact, self.lo, self.hi, self.sign_lo = poly, exact, lo, hi, sign_lo
+
+    def span(self) -> tuple[Fraction, Fraction]:
+        if self.exact is not None:
+            return self.exact, self.exact
+        return self.lo, self.hi
+
+    def refine_step(self) -> None:
+        if self.exact is not None:
+            return
+        mid = (self.lo + self.hi) / 2
+        s = self.poly.sign_at(mid.numerator, mid.denominator)
+        if s == 0:
+            self.exact = mid
+        elif s == self.sign_lo:
+            self.lo = mid
+        else:
+            self.hi = mid
+
+
+def _isolate_real_roots(p: IntPoly) -> list[_RealRoot]:
+    """Disjoint records, one per real root of the squarefree polynomial p, by
+    Sturm bisection of [-B, B] over Fractions."""
+    from monodeg.spectra import _sturm_chain
+
+    if p.degree < 1:
+        return []
+    chain = _sturm_chain(p)
+    bound = root_bound_pow2(p)
+    while p.sign_at(-bound, 1) == 0 or p.sign_at(bound, 1) == 0:
+        bound <<= 1
+    lo, hi = Fraction(-bound), Fraction(bound)
+    out: list[_RealRoot] = []
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        count = va - vb
+        if count <= 0:
+            continue
+        if count == 1:
+            out.append(_RealRoot(p, None, a, b, p.sign_at(a.numerator, a.denominator)))
+            continue
+        mid = (a + b) / 2
+        if p.sign_at(mid.numerator, mid.denominator) != 0:
+            vm = _variations(chain, mid)
+            stack.append((a, mid, va, vm))
+            stack.append((mid, b, vm, vb))
+            continue
+        # exact rational root at mid: isolate a punctured neighbourhood
+        w = (b - a) / 4
+        while True:
+            l, r = mid - w, mid + w
+            if (
+                p.sign_at(l.numerator, l.denominator) != 0
+                and p.sign_at(r.numerator, r.denominator) != 0
+                and _variations(chain, l) - _variations(chain, r) == 1
+            ):
+                break
+            w /= 2
+        out.append(_RealRoot(p, mid))
+        vl, vr = _variations(chain, mid - w), _variations(chain, mid + w)
+        stack.append((a, mid - w, va, vl))
+        stack.append((mid + w, b, vr, vb))
+    out.sort(key=lambda rec: rec.span()[0])
+    return out
+
+
+def modulus_classes_oracle(handles: list, p_sf: IntPoly, cap_bits: int = 256) -> tuple:
+    """spectra._partition_by_modulus by global isolation: every real root of
+    the squarefree product polynomial is isolated over Fractions, each
+    handle's |root|^2 interval (modsq_interval_oracle) is matched to the one
+    record it meets, and each matched record is bisected against 1."""
+    from monodeg.spectra import (
+        EQ, GT, LT, ModulusClass, _pin_real_signs, _product_poly, squarefree_part,
+    )
+
+    _pin_real_signs(handles, cap_bits + 64)
+    q_sf, _ = squarefree_part(_product_poly(p_sf))
+    records = _isolate_real_roots(q_sf)
+    if q_sf.eval_int(1) == 0:  # pin the root 1 exactly
+        for rec in records:
+            a, b = rec.span()
+            if a <= 1 <= b:
+                rec.exact = Fraction(1)
+                break
+
+    def meets(lo, hi, rec) -> bool:
+        a, b = rec.span()
+        return lo <= a <= hi if a == b else not (hi <= a or lo >= b)
+
+    matches: list[_RealRoot | None] = [None] * len(handles)
+    for _ in range(cap_bits + 64):
+        if None not in matches:
+            break
+        for i, h in enumerate(handles):
+            if matches[i] is not None:
+                continue
+            lo, hi = modsq_interval_oracle(h, max(32, (h.e or 0) + 8))
+            cands = [rec for rec in records if meets(lo, hi, rec)]
+            if len(cands) == 1:
+                matches[i] = cands[0]
+                continue
+            if (h.e or 0) > cap_bits:
+                raise ValueError("modulus matching exceeded the refinement cap")
+            h.shrink()
+            for rec in cands:
+                rec.refine_step()
+    else:
+        raise ValueError("modulus matching did not converge")
+
+    def versus_one(rec: _RealRoot) -> str:
+        while True:
+            a, b = rec.span()
+            if a == b:
+                return EQ if a == 1 else (GT if a > 1 else LT)
+            if b <= 1:
+                return LT
+            if a >= 1:
+                return GT
+            rec.refine_step()
+
+    reps = list({id(rec): rec for rec in matches}.values())
+    reps.sort(key=lambda rec: rec.span()[0], reverse=True)
+    return tuple(
+        ModulusClass(tuple(i for i, m in enumerate(matches) if m is rec), versus_one(rec))
+        for rec in reps
+    )

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,8 +20,9 @@ from monodeg.spectra import (
     LT,
     NOT_ROOT_OF_UNITY,
     ROOT_OF_UNITY,
+    ModulusClass,
+    RootBox,
     isolate_roots,
-    modulus_classes,
     ratio_polynomial,
     spectral_summary,
     squarefree_part,
@@ -31,9 +33,11 @@ from conftest import NO_RECURRENCE_3X3, PAIR_2X2, QUARTER_ROTATION
 from oracles import (
     FractionHandle,
     modsq_interval_oracle,
+    modulus_classes_oracle,
     polyroots_oracle,
     poly_pow,
     random_rank_matrix,
+    root_bound_pow2,
     sylvester_resultant_in_y,
 )
 
@@ -128,13 +132,13 @@ class TestIsolateRoots:
 
     def test_residual_within_separation_implied_value(self):
         # |p(center)| <= |lc| * r * (r + 2B)^(d-1) with B a root bound
-        from monodeg.spectra import _poly_eval_complex, _root_bound_pow2, _c_abs2
+        from monodeg.spectra import _poly_eval_complex, _c_abs2
 
         rng = random.Random(15)
         for _ in range(8):
             a = random_rank_matrix(rng, 3, -4, 4)
             p = squarefree_part(char_poly(a))[0]
-            bound = Fraction(_root_bound_pow2(p))
+            bound = Fraction(root_bound_pow2(p))
             for box in isolate_roots(p, Fraction(1, 2**40)):
                 v2 = _c_abs2(_poly_eval_complex(p, box.center))
                 cap = abs(p.lc) * box.radius * (box.radius + 2 * bound) ** (p.degree - 1)
@@ -250,7 +254,8 @@ class TestIntegerHandle:
             h = spectra._Handle(p, start, bits)
             for _ in range(5):
                 for sqrt_bits in (32, 40 + (h.e or 0)):
-                    got = spectra._modsq_interval(h, sqrt_bits)
+                    lo, hi, s = spectra._modsq_interval(h, sqrt_bits)
+                    got = (Fraction(lo, 1 << s), Fraction(hi, 1 << s))
                     assert got == modsq_interval_oracle(h, sqrt_bits)
                 h.shrink()
 
@@ -375,6 +380,33 @@ class TestProposers:
         assert out.stdout.split() == ["RECURRENCE_PROVEN", "False"]
 
 
+@dataclass(frozen=True)
+class ModulusClassification:
+    roots: tuple[RootBox, ...]
+    classes: tuple[ModulusClass, ...]
+
+
+def _ordered_handles(p):
+    return spectra._order_handles(
+        spectra._isolate_handles(p, Fraction(1, 1 << spectra._DEFAULT_EPS_BITS))
+    )
+
+
+def modulus_classes(p: IntPoly, cap_bits: int = 256) -> ModulusClassification:
+    """Certified equal-modulus classes of the roots of a squarefree p with
+    p(0) != 0, each compared against 1, indexed like the root boxes."""
+    if poly_gcd(p, p.derivative()).degree > 0 or p.degree < 1:
+        raise ValueError("modulus classes need a squarefree polynomial")
+    if p.constant == 0:
+        raise ValueError("modulus classes need p(0) != 0")
+    ordered = _ordered_handles(p)
+    classes = spectra._partition_by_modulus(ordered, p.primitive_positive(), cap_bits)
+    return ModulusClassification(
+        roots=spectra._boxes_from_ordered(ordered),
+        classes=spectra._expand_classes(classes, ordered),
+    )
+
+
 class TestModulusClasses:
     def test_cyclotomic_single_class_eq_one(self):
         for m in range(1, 13):
@@ -434,6 +466,141 @@ class TestModulusClasses:
         assert len(eq_class.indices) == 2
         assert not mc.roots[eq_class.indices[0]].is_real
         assert unity_ratio_orders(p) == []
+
+
+# Q with the roots -3, 0, 1/2, 1, 9/4, 4 and +-sqrt(2), so that every
+# span endpoint compares exactly with every root
+_STURM_RATIONAL = [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(9, 4),
+                   Fraction(4)]
+_STURM_Q = IntPoly((-2, 0, 1))
+for _r in _STURM_RATIONAL:
+    _STURM_Q = _STURM_Q * IntPoly((-_r.numerator, _r.denominator))
+
+
+def _roots_in(lo: int, hi: int, s: int) -> int:
+    a, b = Fraction(lo, 1 << s), Fraction(hi, 1 << s)
+
+    def below_sqrt2(x):  # x < sqrt(2); no rational equals it
+        return x <= 0 or x * x < 2
+
+    plus = below_sqrt2(a) and not below_sqrt2(b)
+    minus = below_sqrt2(-b) and not below_sqrt2(-a)
+    return sum(a <= r <= b for r in _STURM_RATIONAL) + plus + minus
+
+
+class TestSturmCount:
+    chain = spectra._sturm_chain(_STURM_Q)
+
+    @pytest.mark.parametrize("span, expected", [
+        ((4, 4, 2), 1),     # point span on the root 1
+        ((16, 16, 2), 1),   # point span on the root 4
+        ((9, 9, 2), 1),     # point span on 9/4
+        ((3, 3, 2), 0),     # point span off the roots
+        ((4, 5, 2), 1),     # left endpoint on 1: [1, 5/4]
+        ((16, 20, 2), 1),   # left endpoint on 4: [4, 5]
+        ((1, 2, 0), 2),     # left endpoint on 1 at exponent 0: [1, 2] holds sqrt 2
+        ((0, 4, 2), 3),     # right endpoint on 1: [0, 1] holds 0, 1/2, 1
+        ((5, 16, 2), 3),    # right endpoint on 4: [5/4, 4] holds sqrt 2, 9/4, 4
+        ((2, 4, 2), 2),     # both endpoints on roots: [1/2, 1]
+        ((-12, -12, 2), 1),  # point span on -3
+        ((17, 1 << 10, 2), 0),
+    ])
+    def test_named_spans(self, span, expected):
+        assert _roots_in(*span) == expected
+        assert spectra._sturm_count(self.chain, *span) == expected
+
+    def test_random_spans_match_exact_roots(self):
+        rng = random.Random(1009)
+        for _ in range(1500):
+            s = rng.randint(0, 5)
+            lo = rng.randint(-5 << s, 6 << s)
+            hi = lo + rng.choice((0, rng.randint(0, 3 << s)))
+            assert spectra._sturm_count(self.chain, lo, hi, s) == _roots_in(lo, hi, s)
+
+    def test_round_out_contains_the_span(self):
+        rng = random.Random(1013)
+        for _ in range(2000):
+            s, c = rng.randint(0, 40), rng.choice((8, 16, 32))
+            lo = rng.randint(0, 5 << s)
+            hi = lo + rng.randint(0, 1 << s)
+            rlo, rhi, rs = spectra._round_out((lo, hi, s), c)
+            assert rs == min(s, c)
+            assert Fraction(rlo, 1 << rs) <= Fraction(lo, 1 << s)
+            assert Fraction(rhi, 1 << rs) >= Fraction(hi, 1 << s)
+            assert Fraction(rhi - rlo, 1 << rs) < Fraction(hi - lo, 1 << s) + Fraction(2, 1 << rs)
+            if s <= c:
+                assert (rlo, rhi, rs) == (lo, hi, s)
+
+
+def _modulus_cases():
+    """Squarefree polynomials with p(0) != 0 whose moduli coincide or nearly
+    coincide: the equal-modulus families and Mignotte clusters."""
+    x = IntPoly((0, 1))
+    cases = []
+    for r in (1, 2, 3, 5):
+        cases.append((x - IntPoly((r,))) * (x + IntPoly((r,))))
+        cases.append((x * x + IntPoly((r * r,))) * (x - IntPoly((r,))))
+    cases.append(IntPoly((-1, 2)) * IntPoly((1, 2)))  # +-1/2
+    for m in range(1, 7):
+        for c in (1, 2, 3):
+            cases.append(IntPoly((-c,) + (0,) * (m - 1) + (1,)))
+            cases.append(IntPoly((c,) + (0,) * (m - 1) + (1,)))
+    for a, b in [(1, 2), (3, 4), (5, 6), (1, 8), (2, 12), (7, 9), (10, 5)]:
+        cases.append(cyclotomic(a) * cyclotomic(b))
+    for scale in (100, 10**4, 10**9):
+        cluster = IntPoly((-1, scale))
+        cases.append(IntPoly((0, 0, 0, 0, 0, 1)) - IntPoly((2,)) * cluster * cluster)
+    return cases
+
+
+def _random_modulus_products(n: int, seed: int):
+    x = IntPoly((0, 1))
+    rng = random.Random(seed)
+    factors = (
+        [x - IntPoly((r,)) for r in (-3, -2, -1, 1, 2, 3)]
+        + [x * x + IntPoly((r * r,)) for r in (1, 2, 3)]
+        + [IntPoly((c,) + (0,) * (m - 1) + (1,)) for m in (2, 3, 4) for c in (-2, -1, 1, 2)]
+        + [cyclotomic(m) for m in (3, 4, 5, 6, 8, 12)]
+    )
+    out = []
+    while len(out) < n:
+        p = IntPoly((1,))
+        for f in rng.sample(factors, rng.randint(2, 3)):
+            p = p * f
+        if poly_gcd(p, p.derivative()).degree == 0:
+            out.append(p)
+    return out
+
+
+class TestModulusPartitionOracle:
+    @staticmethod
+    def _check(p):
+        p = p.primitive_positive()
+        got = spectra._partition_by_modulus(_ordered_handles(p), p, 256)
+        assert got == modulus_classes_oracle(_ordered_handles(p), p, 256)
+        return got
+
+    @pytest.mark.parametrize("p", _modulus_cases(), ids=lambda p: str(p.coeffs))
+    def test_matches_global_isolation(self, p):
+        self._check(p)
+
+    def test_random_products_match_global_isolation(self):
+        for p in _random_modulus_products(40, 2027):
+            self._check(p)
+
+    def test_touching_spans_of_different_moduli_stay_apart(self):
+        # moduli 2 and sqrt(2051/512) = 2.0015: at 2^-8 the |.|^2 spans of
+        # the pair and of the real roots meet at 4 + 2^-8
+        got = self._check(IntPoly((4, 1, 1)) * IntPoly((-2051, 0, 512)))
+        assert [(len(c.indices), c.versus_one) for c in got] == [(2, GT), (1, GT)]
+
+    def test_equal_moduli_and_unit_modulus(self):
+        x = IntPoly((0, 1))
+        # (x - 2)(x + 2)(x^2 + 4)(x^2 + 1): moduli 2 (four roots) and 1
+        p = (x - IntPoly((2,))) * (x + IntPoly((2,))) * IntPoly((4, 0, 1)) * IntPoly((1, 0, 1))
+        got = self._check(p)
+        assert [c.versus_one for c in got] == [GT, EQ]
+        assert [len(c.indices) for c in got] == [3, 1]  # handle indices: pairs count once
 
 
 class TestRatioPolynomial:
