@@ -28,10 +28,12 @@ Newton steps, inclusion radii and the layout tests run on dyadic integers (a
 centre (x + iy)/2^bits, a radius 2^-e), and so does the modulus comparison;
 Fraction appears only in the public RootBox view and the ratio disks.
 
-The modulus comparison never isolates the product polynomial's real roots:
-Sturm counts with integer sign evaluation at the dyadic ends of each
-handle's |root|^2 span decide which spans pin one root, which hold the same
-one, and where each lies against 1 (_partition_by_modulus).
+The modulus comparison starts from each handle's certified |root|^2 span:
+spans that are pairwise disjoint and clear of 1 decide it on their own.  Only
+when a span overlaps another or holds 1 is the product polynomial built, and
+its real roots are never isolated: Sturm counts with integer sign evaluation
+at the dyadic ends of the spans decide which pin one root, which hold the
+same one, and where each lies against 1 (_partition_by_modulus).
 
 A Mahler-type root-separation lower bound (valid because the discriminant of
 a squarefree integer polynomial is a nonzero integer) bounds the refinement
@@ -140,10 +142,16 @@ def _poly_eval_complex(p: IntPoly, z) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 def _sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Sturm chain of a squarefree polynomial.
+    """Sturm chain of the squarefree part of p, from one remainder sequence.
 
     Members are scaled by positive constants only (positive pseudo-remainder
     multipliers, positive contents), which leaves sign variations intact.
+    The sequence of p and p' ends in g = gcd(p, p'), and every member divided
+    by g is again a Sturm chain, of p/g: consecutive quotients are coprime,
+    the three-term relations between members still hold, and at a root of
+    p/g of multiplicity m in p the second member p'/g equals m*(p/g)', so
+    it has the sign of (p/g)'.  For a squarefree p, g is a constant and
+    nothing is divided.
     """
     chain = [p.primitive()]
     dp = p.derivative().primitive()
@@ -159,6 +167,9 @@ def _sturm_chain(p: IntPoly) -> list[IntPoly]:
         if r.is_zero:
             break
         chain.append(r)
+    g = chain[-1]
+    if g.degree > 0:
+        chain = [q.exact_div(g) for q in chain]  # primitive by Gauss's lemma
     return chain
 
 
@@ -668,9 +679,17 @@ def _partition_by_modulus(
     """Equal-modulus classes of the handles' roots, largest modulus first,
     each compared against 1; indices are handle indices.
 
-    Every |root|^2 is a real root of the squarefree part Q of the product
-    polynomial, and lies in its handle's span from _modsq_interval.  Sturm
-    counts on Q decide everything exactly, on the spans alone:
+    Every |root|^2 lies in its handle's closed span from _modsq_interval.
+    When those spans are pairwise disjoint and none holds 1, they decide the
+    partition alone: two disjoint closed enclosures hold different values,
+    so every handle is a class of its own, ordered by its span, and a span
+    clear of 1 lies wholly above or below it.  A conjugate pair is one
+    handle, so its two equal moduli need no comparison.
+
+    Otherwise every |root|^2 is also a real root of the squarefree part Q of
+    the product polynomial.  Only then is Q built, with its Sturm chain, by
+    one remainder sequence (_sturm_chain), and Sturm counts on Q decide
+    everything exactly, on the spans alone:
 
     * a span that holds exactly one root of Q pins its |root|^2;
     * two such spans hold equal moduli exactly when their hull holds one
@@ -688,12 +707,18 @@ def _partition_by_modulus(
     only once c reaches its span's own exponent, and not beyond the cap.
     """
     _pin_real_signs(handles, cap_bits + 64)
-    q_sf, _ = squarefree_part(_product_poly(p_sf))
-    chain = _sturm_chain(q_sf)
-    one_is_root = q_sf.eval_int(1) == 0
+    chain = None
     c = 8
     for _ in range(cap_bits + 64):
         own = [_modsq_interval(h, max(32, (h.e or 0) + 8)) for h in handles]
+        if chain is None:
+            if not any(lo <= 1 << s <= hi for lo, hi, s in own) and all(
+                _hull(a, b) is None for i, a in enumerate(own) for b in own[i + 1:]
+            ):
+                spans = own
+                break
+            chain = _sturm_chain(_product_poly(p_sf))
+            one_is_root = chain[0].eval_int(1) == 0
         spans = [_round_out(span, c) for span in own]
         bad = {
             i for i, (lo, hi, s) in enumerate(spans)

@@ -20,7 +20,9 @@ These deliberately avoid the production code paths they check:
 * modulus_classes_oracle isolates every real root of the product polynomial
   by Sturm bisection over Fractions and matches the handles' |root|^2
   intervals against those records, instead of Sturm counts on the handles'
-  own dyadic spans.
+  own dyadic spans;
+* modulus_ranking_oracle ranks 60-digit mpmath approximations of the
+  eigenvalue moduli instead of certified |root|^2 spans.
 
 The small polynomial helpers (poly_from_roots, poly_pow, eval_fraction,
 poly_at_matrix) build test inputs and evaluate them exactly, and
@@ -522,3 +524,44 @@ def modulus_classes_oracle(handles: list, p_sf: IntPoly, cap_bits: int = 256) ->
         ModulusClass(tuple(i for i, m in enumerate(matches) if m is rec), versus_one(rec))
         for rec in reps
     )
+
+
+def modulus_ranking_oracle(p: IntPoly, dps: int = 60, sep_digits: int = 40) -> tuple | None:
+    """Equal-modulus classes of the roots of a squarefree p from dps-digit
+    mpmath approximations instead of certified spans: (modulus, size,
+    versus_one) per class, largest modulus first, size counting every root.
+
+    Two moduli are equal when their approximations agree to 10^-(dps-10)
+    and distinct when they differ by more than 10^-sep_digits, and the same
+    holds for a modulus against 1.  A difference between the two cannot be
+    told apart at this precision, and the result is None."""
+    import mpmath
+
+    from monodeg.spectra import EQ, GT, LT
+
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots(
+            [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=4 * dps
+        )
+        same, apart = mpmath.mpf(10) ** (10 - dps), mpmath.mpf(10) ** -sep_digits
+
+        def equal(a, b) -> bool | None:
+            d = abs(a - b)
+            return True if d < same else (False if d > apart else None)
+
+        classes: list[list] = []
+        for m in sorted((abs(z) for z in roots), reverse=True):
+            eq = equal(classes[-1][-1], m) if classes else False
+            if eq is None:
+                return None
+            if eq:
+                classes[-1].append(m)
+            else:
+                classes.append([m])
+        out = []
+        for cls in classes:
+            at_one = equal(cls[0], 1)
+            if at_one is None:
+                return None
+            out.append((float(cls[0]), len(cls), EQ if at_one else (GT if cls[0] > 1 else LT)))
+        return tuple(out)

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -34,6 +35,7 @@ from oracles import (
     FractionHandle,
     modsq_interval_oracle,
     modulus_classes_oracle,
+    modulus_ranking_oracle,
     polyroots_oracle,
     poly_pow,
     random_rank_matrix,
@@ -601,6 +603,122 @@ class TestModulusPartitionOracle:
         got = self._check(p)
         assert [c.versus_one for c in got] == [GT, EQ]
         assert [len(c.indices) for c in got] == [3, 1]  # handle indices: pairs count once
+
+
+def _companion(p: IntPoly) -> IntMatrix:
+    """Companion matrix of a monic p, whose characteristic polynomial is p."""
+    d = p.degree
+    rows = [tuple(int(j == i + 1) for j in range(d)) for i in range(d - 1)]
+    return IntMatrix((*rows, tuple(-c for c in p.coeffs[:-1])))
+
+
+def _spy_product_poly(monkeypatch) -> list:
+    calls = []
+    real = spectra._product_poly
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(spectra, "_product_poly", spy)
+    return calls
+
+
+class TestProductPolynomialOnDemand:
+    """The product polynomial is built only when a |root|^2 span overlaps
+    another span or holds 1."""
+
+    def test_generic_matrices_never_build_it(self, monkeypatch):
+        calls = _spy_product_poly(monkeypatch)
+        rng = random.Random(1201)
+        for k in range(3, 9):
+            for _ in range(3):
+                spectral_summary(random_rank_matrix(rng, k, -5, 5))
+        assert calls == []
+
+    def test_equal_moduli_build_it(self, monkeypatch):
+        calls = _spy_product_poly(monkeypatch)
+        x = IntPoly((0, 1))
+        four = (x - IntPoly((2,))) * (x + IntPoly((2,))) * IntPoly((4, 0, 1)) * IntPoly((1, 0, 1))
+        touching = IntPoly((4, 1, 1)) * IntPoly((-2051, 0, 512))
+        for n, p in enumerate((four, touching), start=1):
+            spectra._partition_by_modulus(_ordered_handles(p), p, 256)
+            assert len(calls) == n
+        summary = spectral_summary(_companion(four))
+        assert len(calls) == 3
+        assert [(len(c.indices), c.versus_one) for c in summary.modulus_classes] == [
+            (4, GT), (2, EQ),
+        ]
+
+    @pytest.mark.parametrize("p, starts, expected", [
+        # the root 1.01, started at 1: its span holds 1, its modulus is not 1
+        (IntPoly((-101, 100)), (1,), [((0,), GT)]),
+        # the roots -2.01 and 2, started at -2 and 2: the span of the first
+        # holds the point span of the exact second, the moduli differ
+        (IntPoly((-2, 1)) * IntPoly((201, 100)), (-2, 2), [((0,), GT), ((1,), GT)]),
+    ])
+    def test_coarse_spans_build_it(self, monkeypatch, p, starts, expected):
+        def coarse():  # real handles at 8 bits: spans as wide as the Newton radius
+            return [spectra._Handle(p, (Fraction(x), Fraction(0)), 8) for x in starts]
+
+        own = [spectra._modsq_interval(h, 32) for h in coarse()]
+        assert any(lo <= 1 << s <= hi for lo, hi, s in own) or any(
+            spectra._hull(a, b) is not None for i, a in enumerate(own) for b in own[i + 1:]
+        )
+        oracle = modulus_classes_oracle(coarse(), p, 256)
+        calls = _spy_product_poly(monkeypatch)
+        got = spectra._partition_by_modulus(coarse(), p, 256)
+        assert got == oracle
+        assert [(c.indices, c.versus_one) for c in got] == expected
+        assert len(calls) == 1
+
+
+class TestSharedSturmChain:
+    """_sturm_chain of a product polynomial Q with repeated roots divides its
+    one remainder sequence by gcd(Q, Q'); its counts must equal those of the
+    chain of Q's squarefree part."""
+
+    def test_counts_match_the_squarefree_chain(self):
+        divided = endpoint_roots = 0
+        for p in _modulus_cases() + _random_modulus_products(40, 2027):
+            p = p.primitive_positive()
+            q = spectra._product_poly(p)
+            q_sf = squarefree_part(q)[0]
+            shared, separate = spectra._sturm_chain(q), spectra._sturm_chain(q_sf)
+            assert shared[0].primitive_positive() == q_sf
+            if q_sf.degree == q.degree:
+                assert shared == separate  # squarefree Q: nothing is divided
+                continue
+            divided += 1
+            for h in _ordered_handles(p):
+                own = spectra._modsq_interval(h, max(32, (h.e or 0) + 8))
+                for c in (8, own[2]):
+                    lo, hi, s = spectra._round_out(own, c)
+                    assert (spectra._sturm_count(shared, lo, hi, s)
+                            == spectra._sturm_count(separate, lo, hi, s))
+                    endpoint_roots += q_sf.sign_at(lo, 1 << s) == 0
+                    endpoint_roots += q_sf.sign_at(hi, 1 << s) == 0
+        assert divided >= 40
+        assert endpoint_roots > 0
+
+
+class TestLargeKClassesAgainstMpmath:
+    @pytest.mark.parametrize("k, seed", [(8, 1), (8, 2), (8, 3), (10, 1), (10, 2)])
+    def test_classes_match_the_ranking(self, k, seed):
+        a = random_rank_matrix(random.Random(f"large-k/{k}/{seed}"), k, -3, 3)
+        summary = spectral_summary(a)
+        chi = summary.char_poly
+        if poly_gcd(chi, chi.derivative()).degree > 0:
+            pytest.skip("repeated eigenvalue")
+        ranking = modulus_ranking_oracle(chi)
+        if ranking is None:
+            pytest.skip("moduli not separated by 10^-40 at 60 digits")
+        got = summary.modulus_classes
+        assert [(len(c.indices), c.versus_one) for c in got] == [(n, v) for _, n, v in ranking]
+        for cls, (modulus, _, _) in zip(got, ranking):
+            for i in cls.indices:
+                re, im = summary.roots[i].center
+                assert abs(math.hypot(re, im) - modulus) < 1e-9
 
 
 class TestRatioPolynomial:
