@@ -12,10 +12,11 @@ STABILIZED tail must cover the final ceil(N/2) entries, a PERIODIC tail must
 cover the same range with minimal period at most floor(N/4) and two full
 periods observed.
 
-The powers are walked once (:func:`~monodeg.exact.power_rows`).  The
-periodicity detector makes one backward scan per period, stopping at the
-first mismatch: each period costs one comparison more than the length of its
-matching tail.
+The degrees and cells come from the held power walk of
+:mod:`monodeg.degree`, which ``degree_sequence`` shares and a longer window
+on the same matrix extends.  The periodicity detector makes one backward
+scan per period, stopping at the first mismatch: each period costs one
+comparison more than the length of its matching tail.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .degree import FunctionalIndex, _rows_cell_and_degree
+from .degree import FunctionalIndex, _power_cells
 from .errors import RankDeficient
-from .exact import IntMatrix, det, power_rows
+from .exact import IntMatrix, det
 from .recur import eventually_periodic
 
 STABILIZED = "STABILIZED"
@@ -77,28 +78,24 @@ def detect_stabilization(reps: Sequence[FunctionalIndex]) -> TraceStatus:
 
 def cell_trace(a: IntMatrix, window: int) -> CellTrace:
     """Degrees and achieving-cell data for A^1 .. A^window plus a tail
-    classification, from one pass over the powers."""
+    classification, from the held power walk; one FunctionalIndex is built
+    per distinct cell of the trace."""
     if window < 2:
         raise ValueError("window must be at least 2")
     if det(a) == 0:
         raise RankDeficient("cell traces need a matrix of full rank")
-    degrees: list[int] = []
-    reps: list[FunctionalIndex] = []
-    ties: list[int] = []
-    for rows in power_rows(a, window):
-        rep, tie, d = _rows_cell_and_degree(rows)
-        degrees.append(d)
-        reps.append(rep)
-        ties.append(tie)
+    degrees, cells, ties = _power_cells(a, window)
+    index = {c: FunctionalIndex(c) for c in set(cells)}
+    reps = tuple(map(index.__getitem__, cells))
     switches = tuple(
-        i + 1 for i in range(1, window) if reps[i] != reps[i - 1]
+        i + 1 for i in range(1, window) if cells[i] != cells[i - 1]
     )  # 1-based indices, each >= 2
     return CellTrace(
         source=a,
         window=window,
-        degrees=tuple(degrees),
-        representatives=tuple(reps),
-        tie_counts=tuple(ties),
+        degrees=degrees,
+        representatives=reps,
+        tie_counts=ties,
         switch_indices=switches,
         status=detect_stabilization(reps),
     )

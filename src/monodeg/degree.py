@@ -14,15 +14,19 @@ column j (again 0 for the constant-0 branch).
 Because the branches are independent, the set of functionals attaining D(A)
 is a product of per-max argmax sets; ``achieving_cells`` materialises it and
 ``canonical_cell`` returns its lexicographic minimum without enumeration.
+
+The powers of a matrix are walked in one place, ``_power_cells``, which
+holds the last walk for the next call; it is the module's only shared state.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch, NotUnimodular, RankDeficient
-from .exact import IntMatrix, Rows, det, inverse_unimodular, power_rows
+from .exact import IntMatrix, Rows, _product_rows, det, inverse_unimodular
 
 
 @dataclass(frozen=True, order=True)
@@ -32,7 +36,7 @@ class FunctionalIndex:
     choices: tuple[int, ...]
 
     def __post_init__(self):
-        ch = tuple(int(c) for c in self.choices)
+        ch = tuple(map(operator.index, self.choices))
         if len(ch) < 2:
             raise ValueError("a functional index needs k+1 components with k >= 1")
         k = len(ch) - 1
@@ -95,29 +99,18 @@ def degree(a: IntMatrix) -> int:
     """Map degree D(A); at least 1 for every nonzero integer matrix."""
     if a.is_zero:
         raise ValueError("degree of the zero matrix is not defined")
-    return _rows_degree(a.rows)
+    return _rows_cell_and_degree(a.rows)[2]
 
 
-def _rows_degree(rows: Rows) -> int:
-    """D of the matrix with these rows (the row-sum max plus one max per
-    column, each with its constant-0 branch)."""
-    return max(0, *map(sum, rows)) + sum(max(0, -min(col)) for col in zip(*rows))
-
-
-def _argmax_sets(rows: Rows) -> tuple[int, list[list[int]]]:
-    """D of the matrix with these rows, the sum of the per-max maxima, and
-    the per-max argmax choice sets: index 0 for the row-sum max, then one per
-    column.  Choice 0 is the constant-0 branch."""
-    sums = [0, *map(sum, rows)]
-    best = max(sums)
-    total = best
-    sets = [[c for c, v in enumerate(sums) if v == best]]
-    for col in zip(*rows):
-        vals = [0, *(-x for x in col)]
+def _argmax_sets(rows: Rows) -> list[list[int]]:
+    """The per-max argmax choice sets of the matrix with these rows: index 0
+    for the row-sum max, then one per column.  Choice 0 is the constant-0
+    branch."""
+    sets = []
+    for vals in ([0, *map(sum, rows)], *([0, *(-x for x in col)] for col in zip(*rows))):
         best = max(vals)
-        total += best
         sets.append([c for c, v in enumerate(vals) if v == best])
-    return total, sets
+    return sets
 
 
 def achieving_cells(a: IntMatrix) -> set[FunctionalIndex]:
@@ -127,7 +120,7 @@ def achieving_cells(a: IntMatrix) -> set[FunctionalIndex]:
     """
     if a.is_zero:
         raise ValueError("achieving cells of the zero matrix are not defined")
-    return {FunctionalIndex(c) for c in product(*_argmax_sets(a.rows)[1])}
+    return {FunctionalIndex(c) for c in product(*_argmax_sets(a.rows))}
 
 
 def canonical_cell(a: IntMatrix) -> tuple[FunctionalIndex, int]:
@@ -144,30 +137,80 @@ def cell_and_degree(a: IntMatrix) -> tuple[FunctionalIndex, int, int]:
     """``canonical_cell(a)`` plus D(a), all from one pass over the maxima."""
     if a.is_zero:
         raise ValueError("achieving cells of the zero matrix are not defined")
-    return _rows_cell_and_degree(a.rows)
+    choices, count, total = _rows_cell_and_degree(a.rows)
+    return FunctionalIndex(choices), count, total
 
 
-def _rows_cell_and_degree(rows: Rows) -> tuple[FunctionalIndex, int, int]:
-    """``cell_and_degree`` of the matrix with these rows, assumed nonzero."""
-    total, sets = _argmax_sets(rows)
-    count = 1
-    for s in sets:
-        count *= len(s)
-    return FunctionalIndex(tuple(s[0] for s in sets)), count, total
+def _rows_cell_and_degree(rows: Rows) -> tuple[tuple[int, ...], int, int]:
+    """The canonical cell's choices, the tie count and D of the matrix with
+    these rows, with no argmax set built: per max, the least argmax is the
+    first occurrence of the max and the tie factor its number of occurrences.
+    A column's max is max(0, -min(col)), so the column is searched for its
+    minimum (choice row + 1) or for the zeros tying with the constant 0."""
+    sums = [0, *map(sum, rows)]
+    total = max(sums)
+    choices = [sums.index(total)]
+    count = sums.count(total)
+    for col in zip(*rows):
+        low = min(col)
+        if low < 0:
+            total -= low
+            choices.append(col.index(low) + 1)
+            count *= col.count(low)
+        else:
+            choices.append(0)
+            count *= col.count(0) + 1
+    return tuple(choices), count, total
+
+
+# The held walk: A's rows, the rows of A^m and the (choices, tie count,
+# degree) triples of A^1..A^m.  Replaced whole, never mutated.
+_walk: tuple = ((), (), ())
+
+
+def _power_cells(
+    a: IntMatrix, n: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Degrees, canonical cell choices and tie counts of A^1 .. A^n.
+
+    This is the only walk over the powers: each power is one product of the
+    previous one with A's columns, with no IntMatrix built per power.  One
+    slot holds the last walk: its matrix's rows, its last power and its
+    per-power results (not the earlier powers).  Equal rows give equal
+    powers, and the results for n powers are a prefix of the results for any
+    m > n powers, so a call on a matrix with the held rows reads a prefix of
+    the slot or extends the walk from the last power held; any other matrix
+    replaces the slot.  The slot is replaced by one assignment of an
+    immutable tuple, so a concurrent caller sees either the old walk or the
+    new one, never half of an update; at worst a concurrent walk is redone.
+    """
+    global _walk
+    rows, power, results = _walk
+    if rows != a.rows:
+        rows, power, results = a.rows, (), ()
+    if len(results) < n:
+        cols = tuple(zip(*rows))
+        more = []
+        for _ in range(n - len(results)):
+            power = _product_rows(power, cols) if power else rows
+            more.append(_rows_cell_and_degree(power))
+        results += tuple(more)
+        _walk = (rows, power, results)
+    cells, ties, degrees = zip(*results[:n])
+    return degrees, cells, ties
 
 
 def degree_sequence(a: IntMatrix, n: int) -> DegreeSequence:
     """Degrees of the first n iterates, computed on exact matrix powers.
 
-    One walk over the powers (:func:`~monodeg.exact.power_rows`); a
-    full-rank matrix has no zero power.
+    They come from the held power walk (``_power_cells``), which also yields
+    the cells; a full-rank matrix has no zero power.
     """
     if n < 1:
         raise ValueError("sequence length must be at least 1")
     if det(a) == 0:
         raise RankDeficient("degree sequences need a matrix of full rank")
-    terms = tuple(map(_rows_degree, power_rows(a, n)))
-    return DegreeSequence(terms, a, dual=False)
+    return DegreeSequence(_power_cells(a, n)[0], a, dual=False)
 
 
 def dual_degree_sequence(a: IntMatrix, n: int) -> DegreeSequence:

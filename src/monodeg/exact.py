@@ -8,7 +8,8 @@ of a monic polynomial and the power sums of its roots Newton's identities
 
 Values are immutable and operations are pure functions, so the module is safe
 for concurrent use.  The only shared state is the cyclotomic cache, whose
-fills are idempotent.
+fills are idempotent.  Matrix powers are walked one product at a time in
+:mod:`monodeg.degree` (from ``_product_rows``); ``mat_pow`` squares.
 
 Conventions
 -----------
@@ -23,7 +24,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, NotUnimodular
 
@@ -393,24 +394,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.k != b.k:
         raise DimensionMismatch(f"cannot multiply {a.k}x{a.k} by {b.k}x{b.k}")
     return IntMatrix(_product_rows(a.rows, tuple(zip(*b.rows))))
-
-
-def power_rows(a: IntMatrix, n: int) -> Iterator[Rows]:
-    """Row tuples of A^1 .. A^n, in order (nothing when n < 1).
-
-    Each power is one product of the previous one with A's columns, which are
-    taken once.  No IntMatrix is built per power: ``a`` was validated when it
-    was constructed and products of ints are ints.  Only the current power is
-    held, and A^(n+1) is never computed.
-    """
-    if n < 1:
-        return
-    cols = tuple(zip(*a.rows))
-    rows = a.rows
-    yield rows
-    for _ in range(n - 1):
-        rows = _product_rows(rows, cols)
-        yield rows
 
 
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:

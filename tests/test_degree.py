@@ -32,6 +32,12 @@ class TestFunctionalSet:
         with pytest.raises(ValueError):
             FunctionalIndex((0, 5))
 
+    @pytest.mark.parametrize("choices", [(1.7, "0", True), (1.0, 0), (0, "1")])
+    def test_components_must_be_integers(self, choices):
+        # floats and strings are not truncated or parsed into a branch choice
+        with pytest.raises(TypeError):
+            FunctionalIndex(choices)
+
 
 class TestFunctionalValue:
     def test_all_zero_functional(self):

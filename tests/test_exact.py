@@ -17,7 +17,6 @@ from monodeg.exact import (
     mat_mul,
     mat_pow,
     poly_gcd,
-    power_rows,
 )
 
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE, TRIBONACCI_COMPANION
@@ -83,19 +82,6 @@ class TestMatPow:
             a = random_matrix(rng, 3, -3, 3)
             m, n = rng.randint(0, 6), rng.randint(0, 6)
             assert mat_pow(a, m + n) == mat_mul(mat_pow(a, m), mat_pow(a, n))
-
-
-class TestPowerRows:
-    def test_yields_the_powers_in_order(self):
-        rng = random.Random(11)
-        for k in range(1, 7):
-            for _ in range(3):
-                a = random_matrix(rng, k, -3, 3)
-                rows = list(power_rows(a, 25))
-                assert rows == [mat_pow(a, m).rows for m in range(1, 26)]
-
-    def test_no_powers(self):
-        assert list(power_rows(NO_RECURRENCE_3X3, 0)) == []
 
 
 class TestDet:
