@@ -293,6 +293,13 @@ def _from_power_sums(sums: Sequence[int]) -> IntPoly:
     return IntPoly(c)
 
 
+def _root_powers(p: IntPoly, m: int) -> IntPoly:
+    """The monic integer polynomial whose roots are the m-th powers of the
+    roots of the monic p, multiplicities kept: its power sums are those of p
+    at stride m, s_m, s_2m, ..., s_dm."""
+    return _from_power_sums(_power_sums(p, p.degree * m)[m - 1 :: m])
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials and totients
 # ---------------------------------------------------------------------------

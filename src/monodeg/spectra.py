@@ -6,9 +6,11 @@ Exact layer: characteristic polynomials, Yun squarefree decomposition, the
 product polynomial prod_(i<=j) (z - lambda_i*lambda_j) (so every |lambda|^2
 appears among its real roots), the ratio polynomial Res_y(p(y), p(x*y)) whose
 roots are all eigenvalue ratios lambda_j/lambda_i, and cyclotomic
-divisibility tests deciding which ratios are roots of unity.  The product and
-ratio polynomials are symmetric functions of the eigenvalues and are built
-from integer power sums with Newton's identities, not from resultants.
+divisibility tests giving the orders m that some ratio may have as a root of
+unity.  The product and ratio polynomials, and the polynomials G_m whose
+roots are the m-th powers of the eigenvalues, are symmetric functions of the
+eigenvalues and are built from integer power sums with Newton's identities,
+not from resultants.
 
 Certified numeric layer: root isolation with dyadic centers and radii.
 Floating point only proposes starting points: a double-precision Aberth
@@ -25,8 +27,9 @@ modulus comparisons) is established in exact arithmetic:
   also holds the conjugate of each root it holds (p has real coefficients).
 
 Newton steps, inclusion radii and the layout tests run on dyadic integers (a
-centre (x + iy)/2^bits, a radius 2^-e), and so does the modulus comparison;
-Fraction appears only in the public RootBox view and the ratio disks.
+centre (x + iy)/2^bits, a radius 2^-e), and so do the modulus comparison and
+the ratio attribution; Fraction appears only in the public RootBox view,
+reciprocal_summary, and the starts and eps of isolation.
 
 The modulus comparison starts from each handle's certified |root|^2 span:
 spans that are pairwise disjoint and clear of 1 decide it on their own.  Only
@@ -34,6 +37,12 @@ when a span overlaps another or holds 1 is the product polynomial built, and
 its real roots are never isolated: Sturm counts with integer sign evaluation
 at the dyadic ends of the spans decide which pin one root, which hold the
 same one, and where each lies against 1 (_partition_by_modulus).
+
+The ratio conj(lambda)/lambda of a pair is a root of unity of order m
+exactly when lambda^m is real.  An exact dyadic disk around lambda^m, from
+the pair's own handle, either misses the real axis or, once small, meets a
+single certified disk of G_m's roots; that disk's realness decides it
+(_attribute_pair).  No polynomial of degree above k is ever isolated.
 
 A Mahler-type root-separation lower bound (valid because the discriminant of
 a squarefree integer polynomial is a nonzero integer) bounds the refinement
@@ -59,6 +68,7 @@ from .exact import (
     _from_power_sums,
     _power_sums,
     _pseudo_rem,
+    _root_powers,
     char_poly,
     cyclotomic,
     orders_with_phi_at_most,
@@ -88,18 +98,6 @@ def _round_div(n: int, d: int) -> int:
     return q + (2 * r >= d)
 
 
-def _sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """lo <= sqrt(q) <= hi with hi - lo <= 2^-bits, q >= 0."""
-    if q < 0:
-        raise ValueError("sqrt of a negative rational")
-    if q == 0:
-        return _ZERO, _ZERO
-    m = q.numerator * q.denominator
-    t = math.isqrt(m << (2 * bits))
-    den = q.denominator << bits
-    return Fraction(t, den), Fraction(t + 1, den)
-
-
 def _separation_bits(p: IntPoly) -> int:
     """bits such that 2^-bits is below the minimal distance between distinct
     roots of the squarefree polynomial p.
@@ -112,29 +110,6 @@ def _separation_bits(p: IntPoly) -> int:
         return 8
     s = sum(c * c for c in p.coeffs)
     return ((d + 2) * max(1, d.bit_length())) // 2 + ((d - 1) * s.bit_length()) // 2 + 8
-
-
-# Gaussian rationals as plain (re, im) pairs of Fractions.
-
-def _c_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _c_div(a, b):
-    d = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
-def _c_abs2(a) -> Fraction:
-    return a[0] * a[0] + a[1] * a[1]
-
-
-def _poly_eval_complex(p: IntPoly, z) -> tuple[Fraction, Fraction]:
-    acc = (_ZERO, _ZERO)
-    for c in reversed(p.coeffs):
-        acc = _c_mul(acc, z)
-        acc = (acc[0] + c, acc[1])
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +292,14 @@ def _disjoint(d1, d2) -> bool:
     return dx * dx + dy * dy > r * r
 
 
+def _disks(h) -> list[tuple[int, int, int, int]]:
+    """A handle's dyadic disk (x, y, bits, e), and for a pair its conjugate
+    mirror too."""
+    if h.is_real:
+        return [(h.x, h.y, h.bits, h.e)]
+    return [(h.x, h.y, h.bits, h.e), (h.x, -h.y, h.bits, h.e)]
+
+
 def _certify_layout(handles: list, eps: Fraction, max_rounds: int) -> bool:
     """Refine until all radii <= eps, complex boxes clear the real axis, and
     all disks (including conjugate mirrors) are pairwise disjoint.
@@ -331,9 +314,7 @@ def _certify_layout(handles: list, eps: Fraction, max_rounds: int) -> bool:
             if h.e is None or h.e < e_min or (not h.is_real and h.y << h.e <= 1 << h.bits):
                 bad.add(i)
         if not bad:
-            # each handle's disk, and its conjugate mirror for a pair
-            disks = [[(h.x, y, h.bits, h.e) for y in ((h.y,) if h.is_real else (h.y, -h.y))]
-                     for h in handles]
+            disks = [_disks(h) for h in handles]
             for i in range(len(handles)):
                 for j in range(i + 1, len(handles)):
                     if not all(_disjoint(da, db) for da in disks[i] for db in disks[j]):
@@ -622,8 +603,7 @@ def _product_poly(p: IntPoly) -> IntPoly:
 def _modsq_interval(h, sqrt_bits: int) -> tuple[int, int, int]:
     """(lo, hi, s) with |root|^2 in [lo/2^s, hi/2^s]: (|c| -+ r)^2 from the
     handle's integers at a common exponent.  |c| is exact on the axis and
-    bracketed off it as by _sqrt_bounds, which reduces |c|^2 to lowest
-    terms first."""
+    bracketed off it by the integer square root of |c|^2 in lowest terms."""
     n, b2 = h.x * h.x + h.y * h.y, 2 * h.bits
     if h.is_exact:
         return n, n, b2
@@ -782,14 +762,15 @@ def ratio_polynomial(p: IntPoly) -> tuple[IntPoly, IntPoly]:
 
     full = lc(p)^k * ((-1)^k p(0))^k * prod_(i,j) (x - root_j/root_i), which
     is Res_y(p(y), p(x*y)) with its sign; it has degree k^2 and vanishes
-    exactly at the ratios.  reduced divides out the k diagonal ratios
-    (x - 1)^k exactly.
+    exactly at the ratios.  reduced = full / (x - 1)^k leaves out the k
+    diagonal ratios i = j.
 
     Built from power sums: with mu_i the roots of the monic q = _monic_scaled(p)
     and c = q(0), the monic integer polynomial with roots c/mu_i (the
     reversal of q, scaled) has power sums t_m, and the products s_m*t_m are
-    the power sums of the roots c*root_j/root_i.  Scaling back by x -> c*x
-    divides each coefficient by a power of c, exactly.
+    the power sums of the roots c*root_j/root_i.  The k diagonal roots are c,
+    so s_m*t_m - k*c^m are the power sums of the off-diagonal ones.  Scaling
+    back by x -> c*x divides each coefficient by a power of c, exactly.
     """
     k = p.degree
     if k < 1:
@@ -798,16 +779,13 @@ def ratio_polynomial(p: IntPoly) -> tuple[IntPoly, IntPoly]:
         raise ValueError("zero eigenvalue: ratios are undefined")
     q = _monic_scaled(p)
     c = q.constant
-    n = k * k
+    n = k * k - k
     s, t = _power_sums(q, n), _power_sums(_monic_scaled(q.reversed_coeffs()), n)
-    scaled = _from_power_sums([sm * tm for sm, tm in zip(s, t)])
+    scaled = _from_power_sums([s[m - 1] * t[m - 1] - k * c**m for m in range(1, n + 1)])
     factor = (-p.lc * p.constant) ** k
-    full = IntPoly(tuple(factor * b // c ** (n - i) for i, b in enumerate(scaled.coeffs)))
-    reduced = full
-    x_minus_1 = IntPoly((-1, 1))
-    for _ in range(k):
-        reduced = reduced.exact_div(x_minus_1)
-    return full, reduced
+    reduced = IntPoly(tuple(factor * b // c ** (n - i) for i, b in enumerate(scaled.coeffs)))
+    x_minus_1_to_k = IntPoly(tuple(math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)))
+    return reduced * x_minus_1_to_k, reduced
 
 
 _PROBE = 1 << 64
@@ -845,83 +823,74 @@ def unity_ratio_orders(p: IntPoly) -> list[int]:
     return _orders_from_reduced(reduced, p.degree)
 
 
-def _ratio_disk(pair_handle):
-    """Certified disk around conj(root)/root for an upper-half-plane handle.
+def _power_disk(h, m: int) -> tuple[int, int, int, int]:
+    """A dyadic disk (X, Y, bits*m, e') holding lambda^m for the root lambda
+    of a handle with centre c = (x + iy)/2^bits and radius r = 2^-e.
 
-    center = conj(c)/c is exact; the error bound is 2r/(|c| - r), evaluated
-    with a rational lower bound for |c|.  Returns None while the pair box is
-    too coarse (caller shrinks and retries).
+    The centre is c^m = (x + iy)^m / 2^(bits*m), exactly.  The radius 2^-e'
+    is m*r*(|c| + r)^(m-1) rounded up: lambda^m - c^m = (lambda - c) *
+    sum_j lambda^j c^(m-1-j), and |lambda| <= |c| + r.  With s = max(bits, e)
+    and A = (isqrt(x^2 + y^2) + 1)*2^(s-bits) + 2^(s-e) >= (|c| + r)*2^s, the
+    bound is N/2^(e + s*(m-1)) with N = m*A^(m-1) < 2^len(N); e' may be
+    negative while the handle is coarse.
     """
-    c = pair_handle.center()
-    r = pair_handle.radius()
-    if pair_handle.is_exact:
-        center = _c_div((c[0], -c[1]), c)
-        return center, pair_handle.radius()
-    m2 = _c_abs2(c)
-    slo, _ = _sqrt_bounds(m2, max(32, (pair_handle.e or 0) + 8))
-    if slo <= r:
-        return None
-    center = _c_div((c[0], -c[1]), c)
-    return center, 2 * r / (slo - r)
+    x, y, bits, e = h.x, h.y, h.bits, h.e
+    re, im = x, y
+    for _ in range(m - 1):
+        re, im = re * x - im * y, re * y + im * x
+    s = max(bits, e)
+    a = ((math.isqrt(x * x + y * y) + 1) << (s - bits)) + (1 << (s - e))
+    return re, im, bits * m, e + s * (m - 1) - (m * a ** (m - 1)).bit_length()
 
 
 def _attribute_pair(
-    pair_handle, reduced_sf: IntPoly | None, candidate_orders: list[int], cap_bits: int
+    pair_handle, sf: IntPoly, candidate_orders: list[int], cap_bits: int
 ) -> RatioFlag:
-    """Decide whether conj(lambda)/lambda is a root of unity, geometrically.
+    """Decide whether zeta = conj(lambda)/lambda is a root of unity, and of
+    which order, from lambda^m alone.
 
-    The ratio is a root of the squarefree reduced ratio polynomial, which
-    splits as H * W with H the product of the candidate cyclotomics.  The
-    ratio disk is refined until it excludes every root of one factor.
+    zeta^m = conj(lambda^m)/lambda^m, so zeta^m = 1 exactly when lambda^m is
+    real.  The order of zeta, if any, is among the candidates: zeta is a root
+    of the reduced ratio polynomial, so its cyclotomic polynomial divides it,
+    and zeta != 1 for a non-real lambda.  For each candidate m, ascending,
+    lambda^m is a root of G_m = _root_powers(sf, m), sf the monic squarefree
+    part of chi; G_m's squarefree part (degree <= deg sf) is isolated, and
+    the pair handle is refined until
+    the disk D of _power_disk, which holds lambda^m, settles one of two
+    cases:
+
+    * D misses the real axis: lambda^m is not real, so zeta^m != 1, and the
+      next candidate is tried;
+    * D meets exactly one of G_m's certified disks (mirrors included) and
+      that disk is a real handle's: the disks are disjoint and each holds
+      exactly one root, so lambda^m is that real root and zeta^m = 1.
+
+    One case is reached as D shrinks onto lambda^m, which lies in one disk at
+    a positive distance from the others, and on the axis or off it.  Every m
+    below the order of zeta leaves lambda^m off the axis, so no m before the
+    order is accepted and the order, itself a candidate, is reached first:
+    the m returned is the order.  With no candidate accepted, zeta is not a
+    root of unity.  A pair radius below 2^-cap_bits leaves the flag
+    UNRESOLVED.
     """
-    if not candidate_orders:
-        return RatioFlag(NOT_ROOT_OF_UNITY)
-    if pair_handle.is_exact:
-        eta = _c_div((pair_handle.center()[0], -pair_handle.center()[1]), pair_handle.center())
-        for m in candidate_orders:
-            v = _poly_eval_complex(cyclotomic(m), eta)
-            if v == (_ZERO, _ZERO):
-                return RatioFlag(ROOT_OF_UNITY, m)
-        return RatioFlag(NOT_ROOT_OF_UNITY)
-    h_poly = IntPoly((1,))
-    for m in candidate_orders:
-        h_poly = h_poly * cyclotomic(m)
-    w_poly = reduced_sf.exact_div(poly_gcd(reduced_sf, h_poly))
     eps = Fraction(1, 1 << 32)
-    unity_handles = {m: _isolate_handles(cyclotomic(m), eps) for m in candidate_orders}
-    w_handles = _isolate_handles(w_poly, eps) if w_poly.degree >= 1 else []
-    cap_radius = Fraction(1, 1 << cap_bits)
-    for _ in range(cap_bits + 64):
-        disk = _ratio_disk(pair_handle)
-        if disk is None:
+    for m in candidate_orders:
+        handles = _isolate_handles(squarefree_part(_root_powers(sf, m))[0], eps)
+        for _ in range(cap_bits + 64):
+            if pair_handle.e is not None:
+                x, y, b, e = disk = _power_disk(pair_handle, m)
+                t = max(b, e)
+                if abs(y) << (t - b) > 1 << (t - e):  # D misses the real axis
+                    break
+                hits = [h for h in handles for d in _disks(h) if not _disjoint(disk, d)]
+                if len(hits) == 1 and hits[0].is_real:
+                    return RatioFlag(ROOT_OF_UNITY, m)
+                if pair_handle.e > cap_bits:  # radius below 2^-cap_bits
+                    return RatioFlag(UNRESOLVED)
             pair_handle.shrink()
-            continue
-        (cx, cy), rad = disk
-
-        def hits(handles) -> bool:
-            """Whether the ratio disk meets a handle's disk or its mirror."""
-            return any(
-                (cx - h.center()[0]) ** 2 + (cy - sign * h.center()[1]) ** 2
-                <= (rad + h.radius()) ** 2
-                for h in handles
-                for sign in ((1,) if h.is_real else (1, -1))
-            )
-
-        hit_orders = [m for m in candidate_orders if hits(unity_handles[m])]
-        hit_w = hits(w_handles)
-        if not hit_orders:
-            return RatioFlag(NOT_ROOT_OF_UNITY)
-        if not hit_w and len(hit_orders) == 1:
-            return RatioFlag(ROOT_OF_UNITY, hit_orders[0])
-        if pair_handle.radius() < cap_radius:
+        else:
             return RatioFlag(UNRESOLVED)
-        pair_handle.shrink()
-        for m in hit_orders:
-            for h in unity_handles[m]:
-                h.shrink()
-        for h in w_handles:
-            h.shrink()
-    return RatioFlag(UNRESOLVED)
+    return RatioFlag(NOT_ROOT_OF_UNITY)
 
 
 # -- full summary -------------------------------------------------------------
@@ -946,17 +915,14 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
     )
 
     # conjugate-ratio flags
-    _, reduced = ratio_polynomial(chi)
-    orders = _orders_from_reduced(reduced, chi.degree)
-    have_pairs = any(not h.is_real for h in ordered)
+    orders = _orders_from_reduced(ratio_polynomial(chi)[1], chi.degree)
     pair_candidates = [m for m in orders if m != 1]  # a non-real pair ratio is not 1
-    reduced_sf = squarefree_part(reduced)[0] if (have_pairs and pair_candidates) else None
     flags: list[RatioFlag] = []
     for h in ordered:
         if h.is_real:
             flags.append(RatioFlag(ROOT_OF_UNITY, 1))
         else:
-            flag = _attribute_pair(h, reduced_sf, pair_candidates, precision_bits)
+            flag = _attribute_pair(h, sf, pair_candidates, precision_bits)
             flags.append(flag)
             flags.append(flag)
 

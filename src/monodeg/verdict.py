@@ -29,7 +29,7 @@ from . import cells as cells_mod
 from .cells import CellTrace, cell_trace
 from .degree import DegreeSequence
 from .errors import NotUnimodular, UnresolvedCertification, WindowTooShort
-from .exact import IntMatrix, IntPoly, _from_power_sums, _power_sums, det
+from .exact import IntMatrix, IntPoly, _root_powers, det
 from .recur import Recurrence, find_recurrence, verify_recurrence
 from .spectra import (
     EQ,
@@ -90,10 +90,10 @@ def _power_recurrence(chi: IntPoly, tau: int) -> Recurrence:
     Every linear functional of (A^tau)^n obeys the characteristic polynomial
     of A^tau, so chi_{A^tau}(x^tau) eventually annihilates the degree
     sequence (from the index where each residue class settles into one cell;
-    the offset is recovered separately by exact verification).  chi = chi_A;
-    the power sums of the roots lambda^tau are s_tau, s_2tau, ..., s_ktau.
+    the offset is recovered separately by exact verification).  chi = chi_A,
+    and chi_{A^tau} has the roots lambda^tau.
     """
-    chi_tau = _from_power_sums(_power_sums(chi, chi.degree * tau)[tau - 1 :: tau])
+    chi_tau = _root_powers(chi, tau)
     stretched = [0] * (chi_tau.degree * tau + 1)
     stretched[::tau] = chi_tau.coeffs
     return Recurrence.from_poly(IntPoly(stretched))

@@ -22,10 +22,14 @@ These deliberately avoid the production code paths they check:
   intervals against those records, instead of Sturm counts on the handles'
   own dyadic spans;
 * modulus_ranking_oracle ranks 60-digit mpmath approximations of the
-  eigenvalue moduli instead of certified |root|^2 spans.
+  eigenvalue moduli instead of certified |root|^2 spans;
+* unity_order_oracle raises 60-digit mpmath approximations of each
+  conjugate ratio to every power m in turn instead of certifying disks
+  around lambda^m.
 
 The small polynomial helpers (poly_from_roots, poly_pow, eval_fraction,
-poly_at_matrix) build test inputs and evaluate them exactly, and
+eval_gaussian, poly_at_matrix) build test inputs and evaluate them exactly,
+and
 check_candidate verifies a monic polynomial as a recurrence, and
 root_bound_pow2 bounds its roots by a power of two; the package has no use
 for them.
@@ -34,6 +38,7 @@ for them.
 from __future__ import annotations
 
 from fractions import Fraction
+import math
 import random
 
 from monodeg.exact import IntMatrix, IntPoly, det, mat_mul
@@ -282,7 +287,8 @@ def _dyadic(x: Fraction, bits: int) -> Fraction:
     return Fraction(q + (2 * r >= x.denominator), 1 << bits)
 
 
-def _eval_gaussian(p: IntPoly, z: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+def eval_gaussian(p: IntPoly, z: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """p(z) at a Gaussian rational z = (re, im), exactly (Horner)."""
     acc = (Fraction(0), Fraction(0))
     for c in reversed(p.coeffs):
         acc = (acc[0] * z[0] - acc[1] * z[1] + c, acc[0] * z[1] + acc[1] * z[0])
@@ -311,8 +317,8 @@ class FractionHandle:
         return self.rad if self.rad is not None else Fraction(1)
 
     def _update_radius(self) -> None:
-        self.pc = _eval_gaussian(self.poly, self.c)
-        self.dpc = _eval_gaussian(self.deriv, self.c)
+        self.pc = eval_gaussian(self.poly, self.c)
+        self.dpc = eval_gaussian(self.deriv, self.c)
         v = self.pc[0] ** 2 + self.pc[1] ** 2
         if v == 0:
             self.is_exact = True
@@ -358,11 +364,21 @@ class FractionHandle:
         return self._stuck >= 8 or self.bits > 8 * e + (1 << 12)
 
 
+def _sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= sqrt(q) <= hi with hi - lo <= 2^-bits, q >= 0."""
+    if q < 0:
+        raise ValueError("sqrt of a negative rational")
+    if q == 0:
+        return Fraction(0), Fraction(0)
+    m = q.numerator * q.denominator
+    t = math.isqrt(m << (2 * bits))
+    den = q.denominator << bits
+    return Fraction(t, den), Fraction(t + 1, den)
+
+
 def modsq_interval_oracle(handle, sqrt_bits: int) -> tuple[Fraction, Fraction]:
     """(|c| - r)^2 and (|c| + r)^2 in Fractions, |c| bracketed by
-    spectra._sqrt_bounds off the axis."""
-    from monodeg.spectra import _sqrt_bounds
-
+    _sqrt_bounds off the axis."""
     (re, im), r = handle.center(), handle.radius()
     m2 = re * re + im * im
     if handle.is_exact:
@@ -565,3 +581,53 @@ def modulus_ranking_oracle(p: IntPoly, dps: int = 60, sep_digits: int = 40) -> t
                 return None
             out.append((float(cls[0]), len(cls), EQ if at_one else (GT if cls[0] > 1 else LT)))
         return tuple(out)
+
+
+def unity_order_oracle(p: IntPoly, dps: int = 60) -> list[tuple[complex, int | None]] | None:
+    """For each upper half-plane root lambda of a squarefree p of degree k:
+    lambda, and the order of zeta = conj(lambda)/lambda as a root of unity
+    (None when it is not one), from dps-digit mpmath approximations.
+
+    A root of unity among the off-diagonal ratios has some order m with
+    phi(m) <= k^2 - k, the degree of the reduced ratio polynomial, and
+    phi(m) >= sqrt(m/2); so every m up to 2(k^2 - k)^2 with that totient
+    bound is tried, ascending.  The order is the first m with
+    |zeta^m - 1| < 10^-40; zeta is no root of unity when every tried m gives
+    more than 10^-30.  A value in between cannot be told apart at this
+    precision, and the result is None."""
+    import mpmath
+
+    k = p.degree
+    bound = k * k - k
+
+    def phi(m: int) -> int:
+        out, n, f = m, m, 2
+        while f * f <= n:
+            if n % f == 0:
+                out -= out // f
+                while n % f == 0:
+                    n //= f
+            f += 1
+        return out - out // n if n > 1 else out
+
+    orders = [m for m in range(1, 2 * bound * bound + 2) if phi(m) <= bound]
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots(
+            [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=4 * dps
+        )
+        same, apart = mpmath.mpf(10) ** -40, mpmath.mpf(10) ** -30
+        out = []
+        for lam in roots:
+            if mpmath.im(lam) <= apart:  # real, or the lower root of a pair
+                continue
+            zeta = mpmath.conj(lam) / lam
+            order = None
+            for m in orders:
+                d = abs(zeta**m - 1)
+                if d < same:
+                    order = m
+                    break
+                if d <= apart:
+                    return None
+            out.append((complex(lam), order))
+        return out

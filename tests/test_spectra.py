@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 import monodeg
 from monodeg import spectra
 from monodeg.errors import RankDeficient, UnresolvedCertification
-from monodeg.exact import IntMatrix, IntPoly, char_poly, cyclotomic, det, poly_gcd
+from monodeg.exact import IntMatrix, IntPoly, _root_powers, char_poly, cyclotomic, det, poly_gcd
 from monodeg.spectra import (
     EQ,
     GT,
     LT,
     NOT_ROOT_OF_UNITY,
     ROOT_OF_UNITY,
+    UNRESOLVED,
     ModulusClass,
     RootBox,
     isolate_roots,
@@ -33,6 +34,7 @@ from monodeg.spectra import (
 from conftest import NO_RECURRENCE_3X3, PAIR_2X2, QUARTER_ROTATION
 from oracles import (
     FractionHandle,
+    eval_gaussian,
     modsq_interval_oracle,
     modulus_classes_oracle,
     modulus_ranking_oracle,
@@ -41,6 +43,7 @@ from oracles import (
     random_rank_matrix,
     root_bound_pow2,
     sylvester_resultant_in_y,
+    unity_order_oracle,
 )
 
 HP_CHAR = IntPoly((-1, 1, 1, 1))  # t^3 + t^2 + t - 1
@@ -134,15 +137,14 @@ class TestIsolateRoots:
 
     def test_residual_within_separation_implied_value(self):
         # |p(center)| <= |lc| * r * (r + 2B)^(d-1) with B a root bound
-        from monodeg.spectra import _poly_eval_complex, _c_abs2
-
         rng = random.Random(15)
         for _ in range(8):
             a = random_rank_matrix(rng, 3, -4, 4)
             p = squarefree_part(char_poly(a))[0]
             bound = Fraction(root_bound_pow2(p))
             for box in isolate_roots(p, Fraction(1, 2**40)):
-                v2 = _c_abs2(_poly_eval_complex(p, box.center))
+                re, im = eval_gaussian(p, box.center)
+                v2 = re * re + im * im
                 cap = abs(p.lc) * box.radius * (box.radius + 2 * bound) ** (p.degree - 1)
                 assert v2 <= cap * cap
 
@@ -847,6 +849,179 @@ class TestUnityRatioOrders:
             p = IntPoly(coeffs)
             q = p.reversed_coeffs()
             assert unity_ratio_orders(p) == unity_ratio_orders(q)
+
+
+def _product(*factors) -> IntPoly:
+    p = IntPoly((1,))
+    for f in factors:
+        p = p * IntPoly(f)
+    return p
+
+
+# Quadratic (or cyclotomic) factors, each with the order of its roots'
+# conjugate ratio as a root of unity, None when it is not one.
+_ATTRIBUTION_CASES = {
+    "phi_15": [(cyclotomic(15).coeffs, 15)],
+    # the candidate m = 2 comes from +-i, so G_2 (roots lambda^2) has the
+    # double root -1 and is not squarefree
+    "orders 3, 3, 2 and one not": [
+        ((4, 2, 1), 3), ((3, -2, 1), None), ((1, 0, 1), 2), ((1, 1, 1), 3),
+    ],
+    "exact Gaussian pair 1 +- i": [((2, -2, 1), 4)],
+    "k = 10": [
+        ((4, 2, 1), 3), ((3, -2, 1), None), ((3, 0, 1), 2), ((2, 1, 1), None), ((5, -1, 1), None),
+    ],
+}
+
+
+def _expected_flag(factors, center) -> tuple[str, int | None]:
+    """The flag of the factor whose root the centre approximates."""
+    def residual(f):
+        re, im = eval_gaussian(IntPoly(f[0]), center)
+        return re * re + im * im
+
+    order = min(factors, key=residual)[1]
+    return (ROOT_OF_UNITY, order) if order else (NOT_ROOT_OF_UNITY, None)
+
+
+def _seeded_pair_product(rng: random.Random, k: int) -> IntPoly:
+    """A degree-k product of random monic quadratics x^2 + b*x + c (and one
+    linear factor for odd k): small b and c often give a conjugate ratio
+    that is a root of unity of order 2, 3, 4 or 6."""
+    p = IntPoly((rng.choice([-3, -2, -1, 1, 2, 3]), 1)) if k % 2 else IntPoly((1,))
+    for _ in range(k // 2):
+        p = p * IntPoly((rng.randint(1, 5), rng.randint(-3, 3), 1))
+    return p
+
+
+class TestPairAttribution:
+    """Root-of-unity flags of conjugate pairs from the disk around lambda^m."""
+
+    @pytest.mark.parametrize("name", sorted(_ATTRIBUTION_CASES))
+    def test_hand_cases(self, name):
+        factors = _ATTRIBUTION_CASES[name]
+        s = spectral_summary(_companion(_product(*(f for f, _ in factors))))
+        pairs = [(b, f) for b, f in zip(s.roots, s.ratio_flags) if not b.is_real]
+        assert pairs
+        for box, flag in pairs:
+            assert (flag.kind, flag.order) == _expected_flag(factors, box.center)
+
+    def test_second_power_polynomial_is_not_squarefree(self):
+        p = _product(*(f for f, _ in _ATTRIBUTION_CASES["orders 3, 3, 2 and one not"]))
+        g2 = _root_powers(p, 2)
+        assert g2.degree == p.degree
+        assert squarefree_part(g2)[0].degree < g2.degree
+
+    @pytest.mark.parametrize("name", sorted(_ATTRIBUTION_CASES))
+    def test_coarse_handles_give_the_same_flags(self, name):
+        # Handles started at 3..8 bits: disks around lambda^m wide enough to
+        # meet the axis or a neighbouring root, and a negative exponent e'.
+        factors = _ATTRIBUTION_CASES[name]
+        sf = squarefree_part(_product(*(f for f, _ in factors)))[0]
+        candidates = [m for m in unity_ratio_orders(sf) if m != 1]
+        fine = _ordered_handles(sf)
+        tried = negative = 0
+        for i, h in enumerate(fine):
+            if h.is_real:
+                continue
+            others = [d for j, g in enumerate(fine) for d in spectra._disks(g) if j != i]
+            others.append(spectra._disks(h)[1])  # the conjugate
+
+            def holds_lambda_alone(coarse) -> bool:
+                disk = spectra._disks(coarse)[0]
+                return coarse.e is not None and all(spectra._disjoint(disk, d) for d in others)
+
+            for bits in range(3, 9):
+                coarse = spectra._Handle(sf, h.center(), bits)
+                if coarse.is_real or not holds_lambda_alone(coarse):
+                    continue
+                negative += any(spectra._power_disk(coarse, m)[3] < 0 for m in candidates)
+                flag = spectra._attribute_pair(coarse, sf, candidates, 256)
+                assert holds_lambda_alone(coarse)
+                assert (flag.kind, flag.order) == _expected_flag(factors, h.center())
+                tried += 1
+        assert tried >= 4
+        if name != "exact Gaussian pair 1 +- i":
+            assert negative
+
+    @pytest.mark.parametrize("name", sorted(_ATTRIBUTION_CASES))
+    def test_power_disk_holds_the_power(self, name):
+        import mpmath
+
+        def mpc(re: Fraction, im: Fraction):
+            return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                              mpmath.mpf(im.numerator) / im.denominator)
+
+        factors = _ATTRIBUTION_CASES[name]
+        sf = squarefree_part(_product(*(f for f, _ in factors)))[0]
+        roots = polyroots_oracle(sf, 60)
+        checked = 0
+        with mpmath.workdps(60):
+            for h in _ordered_handles(sf):
+                if h.is_real:
+                    continue
+                for bits in range(3, 9):
+                    coarse = spectra._Handle(sf, h.center(), bits)
+                    if coarse.e is None or coarse.is_real:
+                        continue
+                    c, r = mpc(*coarse.center()), coarse.radius()
+                    lam = min((mpc(*z) for z in roots), key=lambda z: abs(z - c))
+                    if abs(lam - c) > mpmath.mpf(r.numerator) / r.denominator:
+                        continue  # the coarse disk holds another root
+                    for m in range(2, 16):
+                        x, y, b, e = spectra._power_disk(coarse, m)
+                        centre = mpmath.mpc(x, y) / mpmath.mpf(2) ** b
+                        assert centre == c**m
+                        assert abs(lam**m - centre) <= mpmath.mpf(2) ** -e
+                        checked += 1
+        assert checked >= 4 * 14
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_flags_match_the_mpmath_oracle(self, k):
+        rng = random.Random(f"unity-ratio/{k}")
+        polys = [_seeded_pair_product(rng, k) for _ in range(6)]
+        polys += [char_poly(random_rank_matrix(rng, k, -2, 2)) for _ in range(2)]
+        checked = 0
+        for p in polys:
+            s = spectral_summary(_companion(p))
+            oracle = unity_order_oracle(squarefree_part(p)[0])
+            if oracle is None:
+                continue
+            for box, flag in zip(s.roots, s.ratio_flags):
+                if box.is_real or box.center[1] < 0:
+                    continue
+                z = complex(*box.center)
+                order = min(oracle, key=lambda o: abs(o[0] - z))[1]
+                assert flag.kind != UNRESOLVED
+                assert (flag.kind, flag.order) == (
+                    (ROOT_OF_UNITY, order) if order else (NOT_ROOT_OF_UNITY, None)
+                )
+                checked += 1
+        assert checked >= 6
+
+    def test_no_isolation_above_degree_k(self, monkeypatch):
+        degrees = []
+        real = spectra._isolate_handles
+
+        def spy(p, *args, **kwargs):
+            degrees.append(p.degree)
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_isolate_handles", spy)
+        rng = random.Random(1301)
+        matrices = [random_rank_matrix(rng, 3 + n % 6, -3, 3) for n in range(18)]
+        matrices += [
+            _companion(_product(*(f for f, _ in factors)))
+            for factors in _ATTRIBUTION_CASES.values()
+        ]
+        attributed = 0
+        for a in matrices:
+            degrees.clear()
+            s = spectral_summary(a)
+            assert degrees and max(degrees) <= a.k
+            # isolations beyond those of the char poly's squarefree factors
+            attributed += len(degrees) > len(squarefree_part(s.char_poly)[1])
+        assert attributed >= len(_ATTRIBUTION_CASES)
 
 
 class TestSpectralSummary:
