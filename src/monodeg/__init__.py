@@ -10,8 +10,6 @@ from .cells import CellTrace, TraceStatus, cell_trace, detect_stabilization
 from .degree import (
     DegreeSequence,
     FunctionalIndex,
-    achieving_cells,
-    canonical_cell,
     degree,
     degree_sequence,
     dual_degree_sequence,
@@ -34,8 +32,6 @@ from .exact import (
     cyclotomic,
     det,
     inverse_unimodular,
-    mat_mul,
-    mat_pow,
     poly_gcd,
 )
 from .recur import (

@@ -11,10 +11,6 @@ such choice: component 0 picks the row-sum branch (0 means the constant-0
 branch), component j >= 1 picks the row whose negated entry is used in
 column j (again 0 for the constant-0 branch).
 
-Because the branches are independent, the set of functionals attaining D(A)
-is a product of per-max argmax sets; ``achieving_cells`` materialises it and
-``canonical_cell`` returns its lexicographic minimum without enumeration.
-
 The powers of a matrix are walked in one place, ``_power_cells``, which
 holds the last walk for the next call; it is the module's only shared state.
 """
@@ -102,49 +98,11 @@ def degree(a: IntMatrix) -> int:
     return _rows_cell_and_degree(a.rows)[2]
 
 
-def _argmax_sets(rows: Rows) -> list[list[int]]:
-    """The per-max argmax choice sets of the matrix with these rows: index 0
-    for the row-sum max, then one per column.  Choice 0 is the constant-0
-    branch."""
-    sets = []
-    for vals in ([0, *map(sum, rows)], *([0, *(-x for x in col)] for col in zip(*rows))):
-        best = max(vals)
-        sets.append([c for c, v in enumerate(vals) if v == best])
-    return sets
-
-
-def achieving_cells(a: IntMatrix) -> set[FunctionalIndex]:
-    """All functional indices whose value at ``a`` equals D(a); never empty.
-
-    The set is the cartesian product of the per-max argmax sets.
-    """
-    if a.is_zero:
-        raise ValueError("achieving cells of the zero matrix are not defined")
-    return {FunctionalIndex(c) for c in product(*_argmax_sets(a.rows))}
-
-
-def canonical_cell(a: IntMatrix) -> tuple[FunctionalIndex, int]:
-    """Lexicographically least achieving functional plus the tie count.
-
-    Tie-breaking on cell boundaries is a convention of this artifact; the tie
-    count preserves visibility of boundary hits.
-    """
-    rep, count, _ = cell_and_degree(a)
-    return rep, count
-
-
-def cell_and_degree(a: IntMatrix) -> tuple[FunctionalIndex, int, int]:
-    """``canonical_cell(a)`` plus D(a), all from one pass over the maxima."""
-    if a.is_zero:
-        raise ValueError("achieving cells of the zero matrix are not defined")
-    choices, count, total = _rows_cell_and_degree(a.rows)
-    return FunctionalIndex(choices), count, total
-
-
 def _rows_cell_and_degree(rows: Rows) -> tuple[tuple[int, ...], int, int]:
-    """The canonical cell's choices, the tie count and D of the matrix with
-    these rows, with no argmax set built: per max, the least argmax is the
-    first occurrence of the max and the tie factor its number of occurrences.
+    """The canonical cell (the lexicographically least functional attaining
+    D), the tie count (how many attain it) and D of the matrix with these
+    rows, with no argmax set built: per max, the least argmax is the first
+    occurrence of the max and the tie factor its number of occurrences.
     A column's max is max(0, -min(col)), so the column is searched for its
     minimum (choice row + 1) or for the zeros tying with the constant 0."""
     sums = [0, *map(sum, rows)]
@@ -229,9 +187,6 @@ __all__ = [
     "functional_set",
     "functional_value",
     "degree",
-    "achieving_cells",
-    "canonical_cell",
-    "cell_and_degree",
     "degree_sequence",
     "dual_degree_sequence",
     "NotUnimodular",

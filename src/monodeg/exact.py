@@ -9,7 +9,7 @@ of a monic polynomial and the power sums of its roots Newton's identities
 Values are immutable and operations are pure functions, so the module is safe
 for concurrent use.  The only shared state is the cyclotomic cache, whose
 fills are idempotent.  Matrix powers are walked one product at a time in
-:mod:`monodeg.degree` (from ``_product_rows``); ``mat_pow`` squares.
+:mod:`monodeg.degree` (from ``_product_rows``).
 
 Conventions
 -----------
@@ -394,27 +394,6 @@ def _product_rows(rows: Rows, cols: Rows) -> Rows:
     """Rows of the product of a matrix given by ``rows`` and one given by
     its ``cols``."""
     return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in rows)
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact matrix product."""
-    if a.k != b.k:
-        raise DimensionMismatch(f"cannot multiply {a.k}x{a.k} by {b.k}x{b.k}")
-    return IntMatrix(_product_rows(a.rows, tuple(zip(*b.rows))))
-
-
-def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
-    """Exact n-th power, n >= 0 (A^0 is the identity)."""
-    if n < 0:
-        raise ValueError("matrix power requires a non-negative exponent")
-    result = IntMatrix.identity(a.k)
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
 
 
 def det(a: IntMatrix) -> int:

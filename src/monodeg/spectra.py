@@ -4,13 +4,13 @@ Two layers cooperate here.
 
 Exact layer: characteristic polynomials, Yun squarefree decomposition, the
 product polynomial prod_(i<=j) (z - lambda_i*lambda_j) (so every |lambda|^2
-appears among its real roots), the ratio polynomial Res_y(p(y), p(x*y)) whose
-roots are all eigenvalue ratios lambda_j/lambda_i, and cyclotomic
-divisibility tests giving the orders m that some ratio may have as a root of
-unity.  The product and ratio polynomials, and the polynomials G_m whose
-roots are the m-th powers of the eigenvalues, are symmetric functions of the
-eigenvalues and are built from integer power sums with Newton's identities,
-not from resultants.
+appears among its real roots), the reduced ratio polynomial
+Res_y(p(y), p(x*y))/(x - 1)^k whose roots are the eigenvalue ratios
+lambda_j/lambda_i with i != j, and cyclotomic divisibility tests giving the
+orders m that some ratio may have as a root of unity.  The product and ratio
+polynomials, and the polynomials G_m whose roots are the m-th powers of the
+eigenvalues, are symmetric functions of the eigenvalues and are built from
+integer power sums with Newton's identities, not from resultants.
 
 Certified numeric layer: root isolation with dyadic centers and radii.
 Floating point only proposes starting points: a double-precision Aberth
@@ -757,13 +757,13 @@ def _expand_classes(
 
 # -- eigenvalue ratio machinery ----------------------------------------------
 
-def ratio_polynomial(p: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """(full, reduced) ratio polynomials for a degree-k polynomial, p(0) != 0.
+def ratio_polynomial(p: IntPoly) -> IntPoly:
+    """The reduced ratio polynomial full / (x - 1)^k of a degree-k p, p(0) != 0.
 
     full = lc(p)^k * ((-1)^k p(0))^k * prod_(i,j) (x - root_j/root_i), which
     is Res_y(p(y), p(x*y)) with its sign; it has degree k^2 and vanishes
-    exactly at the ratios.  reduced = full / (x - 1)^k leaves out the k
-    diagonal ratios i = j.
+    exactly at the ratios.  Dividing by (x - 1)^k leaves out the k diagonal
+    ratios i = j.
 
     Built from power sums: with mu_i the roots of the monic q = _monic_scaled(p)
     and c = q(0), the monic integer polynomial with roots c/mu_i (the
@@ -783,9 +783,7 @@ def ratio_polynomial(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     s, t = _power_sums(q, n), _power_sums(_monic_scaled(q.reversed_coeffs()), n)
     scaled = _from_power_sums([s[m - 1] * t[m - 1] - k * c**m for m in range(1, n + 1)])
     factor = (-p.lc * p.constant) ** k
-    reduced = IntPoly(tuple(factor * b // c ** (n - i) for i, b in enumerate(scaled.coeffs)))
-    x_minus_1_to_k = IntPoly(tuple(math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1)))
-    return reduced * x_minus_1_to_k, reduced
+    return IntPoly(tuple(factor * b // c ** (n - i) for i, b in enumerate(scaled.coeffs)))
 
 
 _PROBE = 1 << 64
@@ -796,31 +794,26 @@ def _cyclotomic_at_probe(m: int) -> int:
     return cyclotomic(m).eval_int(_PROBE)
 
 
-def _orders_from_reduced(reduced: IntPoly, k: int) -> list[int]:
-    """The m with phi(m) <= min(k^2, deg) whose cyclotomic polynomial divides
-    the reduced ratio polynomial R.
+def unity_ratio_orders(p: IntPoly) -> list[int]:
+    """All m with phi(m) <= k^2 such that the m-th cyclotomic polynomial
+    shares a factor with the reduced ratio polynomial R, ascending.
+
+    Cyclotomic polynomials are irreducible, so sharing a factor is plain
+    divisibility; a ratio that is a primitive m-th root of unity has degree
+    phi(m) <= deg(R) <= k^2, whence m <= 2k^4.
 
     Most candidates fail, and one integer remainder proves it: Phi_m is
     monic, so Phi_m | R in Z[x] means R = Phi_m * S with S in Z[x], hence
     Phi_m(T) | R(T) for every integer T.  With T = 2^64 (Phi_m(T) > 0),
-    R(T) mod Phi_m(T) != 0 rules Phi_m out; only the rest are divided."""
+    R(T) mod Phi_m(T) != 0 rules Phi_m out; only the rest are divided.
+    """
+    k = p.degree
+    reduced = ratio_polynomial(p)
     r_at = reduced.eval_int(_PROBE)
     return [
         m for m in orders_with_phi_at_most(min(k * k, reduced.degree))
         if r_at % _cyclotomic_at_probe(m) == 0 and cyclotomic(m).divides(reduced)
     ]
-
-
-def unity_ratio_orders(p: IntPoly) -> list[int]:
-    """All m with phi(m) <= k^2 such that the m-th cyclotomic polynomial
-    shares a factor with the reduced ratio polynomial, ascending.
-
-    Cyclotomic polynomials are irreducible, so sharing a factor is plain
-    divisibility; a ratio that is a primitive m-th root of unity has degree
-    phi(m) <= deg(reduced) <= k^2, whence m <= 2k^4.
-    """
-    _, reduced = ratio_polynomial(p)
-    return _orders_from_reduced(reduced, p.degree)
 
 
 def _power_disk(h, m: int) -> tuple[int, int, int, int]:
@@ -898,7 +891,10 @@ def _attribute_pair(
 def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary:
     """Characteristic polynomial, certified root boxes with multiplicities,
     equal-modulus classes compared against 1, the dominant conjugate pair if
-    there is one, and conjugate-ratio flags per root."""
+    there is one, and conjugate-ratio flags per root.  ``precision_bits``,
+    the refinement cap exponent, must be nonnegative."""
+    if precision_bits < 0:
+        raise ValueError(f"precision must be nonnegative, got {precision_bits}")
     chi = char_poly(a)
     if chi.constant == 0:  # chi_A(0) = (-1)^k det A
         raise RankDeficient("spectral analysis needs a matrix of full rank")
@@ -915,7 +911,7 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
     )
 
     # conjugate-ratio flags
-    orders = _orders_from_reduced(ratio_polynomial(chi)[1], chi.degree)
+    orders = unity_ratio_orders(chi)
     pair_candidates = [m for m in orders if m != 1]  # a non-real pair ratio is not 1
     flags: list[RatioFlag] = []
     for h in ordered:

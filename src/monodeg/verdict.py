@@ -251,10 +251,6 @@ class CrossCheckReport:
     conflicts: tuple[str, ...]
     bounds: dict[str, int]
 
-    @property
-    def consistent(self) -> bool:
-        return self.status == CONSISTENT
-
 
 def cross_check(
     a: IntMatrix,

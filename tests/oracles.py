@@ -4,8 +4,14 @@ These deliberately avoid the production code paths they check:
 
 * homogenization_degree clears the map's homogeneous coordinates by exponent
   bookkeeping instead of using the closed degree formula;
+* mat_mul sums each entry index by index and mat_pow squares, instead of the
+  package's one power walk over row-column products;
+* achieving_cells materialises every functional attaining the degree as a
+  product of per-max argmax sets, and canonical_cell takes its least
+  member, instead of the package's one pass over the maxima;
 * sylvester_resultant_in_y expands the Sylvester matrix and eliminates it
-  fraction-free instead of composing power sums;
+  fraction-free instead of composing power sums, and ratio_full_oracle
+  applies it to Res_y(p(y), p(x*y));
 * hankel_min_order recovers the minimal annihilator order from exact Hankel
   ranks instead of Berlekamp-Massey;
 * polyroots_oracle approximates every complex root to 100 digits with
@@ -38,11 +44,68 @@ for them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 import math
 import random
 
-from monodeg.exact import IntMatrix, IntPoly, det, mat_mul
+from monodeg.degree import FunctionalIndex
+from monodeg.errors import DimensionMismatch
+from monodeg.exact import IntMatrix, IntPoly, det
 from monodeg.recur import Recurrence, verify_recurrence
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Exact matrix product, entry (i, j) = sum_t a_it * b_tj."""
+    if a.k != b.k:
+        raise DimensionMismatch(f"cannot multiply {a.k}x{a.k} by {b.k}x{b.k}")
+    k = a.k
+    return IntMatrix(
+        tuple(
+            tuple(sum(a.rows[i][t] * b.rows[t][j] for t in range(k)) for j in range(k))
+            for i in range(k)
+        )
+    )
+
+
+def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
+    """Exact n-th power by repeated squaring, n >= 0 (A^0 is the identity)."""
+    if n < 0:
+        raise ValueError("matrix power requires a non-negative exponent")
+    result = IntMatrix.identity(a.k)
+    base = a
+    while n:
+        if n & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
+        n >>= 1
+    return result
+
+
+def _argmax_sets(rows) -> list[list[int]]:
+    """The per-max argmax choice sets of the matrix with these rows: index 0
+    for the row-sum max, then one per column.  Choice 0 is the constant-0
+    branch."""
+    sets = []
+    for vals in ([0, *map(sum, rows)], *([0, *(-x for x in col)] for col in zip(*rows))):
+        best = max(vals)
+        sets.append([c for c, v in enumerate(vals) if v == best])
+    return sets
+
+
+def achieving_cells(a: IntMatrix) -> set[FunctionalIndex]:
+    """All functional indices whose value at ``a`` equals D(a); never empty.
+
+    The branches of the degree formula are independent, so the set is the
+    cartesian product of the per-max argmax sets.
+    """
+    if a.is_zero:
+        raise ValueError("achieving cells of the zero matrix are not defined")
+    return {FunctionalIndex(c) for c in product(*_argmax_sets(a.rows))}
+
+
+def canonical_cell(a: IntMatrix) -> FunctionalIndex:
+    """The lexicographically least achieving functional."""
+    return min(achieving_cells(a))
 
 
 def poly_from_roots(roots: list[int]) -> IntPoly:
@@ -195,6 +258,14 @@ def sylvester_resultant_in_y(f: list[IntPoly], g: list[IntPoly]) -> IntPoly:
     for j in range(m):
         rows.append([zero] * j + gd + [zero] * (m - 1 - j))
     return _bareiss_det_poly(rows)
+
+
+def ratio_full_oracle(p: IntPoly) -> IntPoly:
+    """Res_y(p(y), p(x*y)) as a Sylvester determinant: the full ratio
+    polynomial, degree k^2, whose roots are all ratios root_j/root_i."""
+    f_y = [IntPoly((c,)) for c in p.coeffs]
+    g_y = [IntPoly((0,) * i + (c,)) for i, c in enumerate(p.coeffs)]
+    return sylvester_resultant_in_y(f_y, g_y)
 
 
 def hankel_min_order(seq: list[int], max_order: int) -> int | None:

@@ -32,7 +32,13 @@ from conftest import (
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
 )
-from oracles import check_candidate, homogenization_degree, random_rank_matrix
+from oracles import (
+    check_candidate,
+    homogenization_degree,
+    poly_pow,
+    random_rank_matrix,
+    ratio_full_oracle,
+)
 
 
 @contextmanager
@@ -120,7 +126,7 @@ def test_criterion_07_modulus_one_root_of_unity():
 def test_criterion_08_two_by_two_no_recurrence():
     with criterion(8, "2x2 dominant pair with non-unity ratio"):
         assert unity_ratio_orders(char_poly(PAIR_2X2)) == []
-        _, reduced = ratio_polynomial(char_poly(PAIR_2X2))
+        reduced = ratio_polynomial(char_poly(PAIR_2X2))
         assert reduced.primitive_positive() == IntPoly((3, 2, 3))  # 9x^2+6x+9 / content
         v = classify_d1(PAIR_2X2)
         assert v.classification == NO_RECURRENCE_PROVEN
@@ -131,16 +137,13 @@ def test_criterion_08_two_by_two_no_recurrence():
 def test_criterion_09_ratio_polynomial_structure():
     with criterion(9, "ratio polynomial structure on 100 randoms"):
         rng = random.Random(909)
-        x_minus_1 = IntPoly((-1, 1))
         for i in range(100):
             k = (2, 3, 4)[i % 3]
-            a = random_rank_matrix(rng, k, -3, 3)
-            full, reduced = ratio_polynomial(char_poly(a))
+            p = char_poly(random_rank_matrix(rng, k, -3, 3))
+            reduced = ratio_polynomial(p)
+            full = reduced * poly_pow(IntPoly((-1, 1)), k)
             assert full.degree == k * k
-            rebuilt = reduced
-            for _ in range(k):
-                rebuilt = rebuilt * x_minus_1
-            assert rebuilt == full
+            assert full == ratio_full_oracle(p)
             rev = reduced.reversed_coeffs().primitive_positive()
             assert rev == reduced.primitive_positive()
 

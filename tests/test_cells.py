@@ -12,15 +12,13 @@ from monodeg.cells import PERIODIC, STABILIZED, UNRESOLVED, cell_trace, detect_s
 from monodeg.cli import EXIT_OK, run
 from monodeg.degree import (
     FunctionalIndex,
-    achieving_cells,
-    cell_and_degree,
     degree,
     degree_sequence,
     dual_degree_sequence,
     functional_value,
 )
 from monodeg.errors import RankDeficient
-from monodeg.exact import IntMatrix, _product_rows, det, mat_pow
+from monodeg.exact import IntMatrix, _product_rows, det
 
 from conftest import (
     NO_RECURRENCE_3X3,
@@ -28,7 +26,7 @@ from conftest import (
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
 )
-from oracles import homogenization_degree, random_rank_matrix
+from oracles import achieving_cells, homogenization_degree, mat_pow, random_rank_matrix
 
 # the package exports a function named ``degree``, so fetch the module itself
 degree_module = importlib.import_module("monodeg.degree")
@@ -117,10 +115,11 @@ class TestCellTrace:
         for k in range(1, 7):
             a = random_rank_matrix(rng, k, -3, 3)
             trace = cell_trace(a, 60)
-            expected = [cell_and_degree(mat_pow(a, n)) for n in range(1, 61)]
-            assert trace.representatives == tuple(rep for rep, _, _ in expected)
-            assert trace.tie_counts == tuple(tie for _, tie, _ in expected)
-            assert trace.degrees == tuple(d for _, _, d in expected)
+            powers = [mat_pow(a, n) for n in range(1, 61)]
+            cells = [achieving_cells(p) for p in powers]
+            assert trace.representatives == tuple(min(c) for c in cells)
+            assert trace.tie_counts == tuple(len(c) for c in cells)
+            assert trace.degrees == tuple(homogenization_degree(p) for p in powers)
             assert degree_sequence(a, 60).terms == trace.degrees
 
 
@@ -133,7 +132,7 @@ def evict_walk():
 @pytest.fixture
 def walk_products(monkeypatch):
     """Counter of the power products the held walk makes, from a cold slot.
-    Products made elsewhere (Faddeev-LeVerrier, ``mat_pow``) are not counted."""
+    Products made elsewhere (Faddeev-LeVerrier) are not counted."""
     evict_walk()
     count = [0]
 

@@ -1,5 +1,9 @@
+import ast
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,17 @@ class TestVerdictCommand:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["dual"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["verdict", "-m", "[[0,-1],[1,1]]", "--precision", "-1000"],
+        ["verdict", "-m", "[[2,1],[1,1]]", "--precision", "-1000", "--strict"],
+        ["analyze", "-m", "[[0,-1],[1,1]]", "--precision", "-1"],
+    ])
+    def test_negative_precision_is_an_input_error(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: precision must be nonnegative")
 
 
 class TestAnalyzeCommand:
@@ -363,3 +378,55 @@ class TestRendering:
 
         assert fraction_to_scientific(Fraction(1, 1 << 40), 3) == "9.095e-13"
         assert fraction_to_scientific(Fraction(0)) == "0"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading: str, lang: str = "") -> str:
+    """The first fenced code block under README's ``## heading``."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
+def readme_cli_lines() -> list[tuple[list[str], str]]:
+    """(arguments, comment) of each ``monodeg`` line in README's CLI block."""
+    lines = []
+    for line in readme_block("CLI").splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "monodeg"
+        lines.append((argv[1:], comment.strip()))
+    return lines
+
+
+class TestReadmeExamples:
+    def test_every_cli_line_runs(self):
+        for argv, _ in readme_cli_lines():
+            code, out = run_cli(argv)
+            assert code == EXIT_OK, argv
+            assert out, argv
+
+    @pytest.mark.parametrize(
+        "stated", ["2 4 7 13 24 44 81 149 274 504", "x^3 - x^2 - x - 1", "PERIODIC with period 4"]
+    )
+    def test_stated_cli_output(self, stated):
+        [argv] = [argv for argv, comment in readme_cli_lines() if comment == stated]
+        code, out = run_cli(argv)
+        assert code == EXIT_OK
+        assert stated in out.splitlines()[0]
+
+    def test_library_block_values(self):
+        block = readme_block("Library", "python")
+        namespace: dict = {}
+        exec(block, namespace)
+        checked = 0
+        for line in block.splitlines():
+            code, _, comment = line.partition("#")
+            if not comment:
+                continue
+            stated = re.match(r"'[^']*'|\([^()]*\)", comment.strip())
+            assert stated, line
+            assert eval(code, namespace) == ast.literal_eval(stated.group()), line
+            checked += 1
+        assert checked == 3

@@ -4,8 +4,7 @@ import pytest
 
 from monodeg.degree import (
     FunctionalIndex,
-    achieving_cells,
-    canonical_cell,
+    _rows_cell_and_degree,
     degree,
     degree_sequence,
     dual_degree_sequence,
@@ -13,10 +12,17 @@ from monodeg.degree import (
     functional_value,
 )
 from monodeg.errors import DimensionMismatch, NotUnimodular, RankDeficient
-from monodeg.exact import IntMatrix, mat_pow
+from monodeg.exact import IntMatrix
 
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE
-from oracles import homogenization_degree, random_matrix, random_rank_matrix
+from oracles import (
+    achieving_cells,
+    homogenization_degree,
+    mat_mul,
+    mat_pow,
+    random_matrix,
+    random_rank_matrix,
+)
 
 
 class TestFunctionalSet:
@@ -106,8 +112,6 @@ class TestDegree:
         rng = random.Random(88)
         p3 = IntMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
         q3 = IntMatrix(((0, 0, 1), (1, 0, 0), (0, 1, 0)))
-        from monodeg.exact import mat_mul
-
         for _ in range(20):
             a = random_matrix(rng, 3, -4, 4)
             if a.is_zero:
@@ -116,6 +120,9 @@ class TestDegree:
 
 
 class TestAchievingCells:
+    """The achieving-cell oracle against brute force, and the package's one
+    cell kernel against the oracle."""
+
     def test_single_entry_matrix(self):
         cells = achieving_cells(IntMatrix(((2,),)))
         assert cells == {FunctionalIndex((1, 0))}
@@ -152,9 +159,10 @@ class TestAchievingCells:
             if a.is_zero:
                 continue
             cells = achieving_cells(a)
-            rep, ties = canonical_cell(a)
-            assert rep == min(cells)
+            rep, ties, d = _rows_cell_and_degree(a.rows)
+            assert FunctionalIndex(rep) == min(cells)
             assert ties == len(cells)
+            assert d == homogenization_degree(a)
 
 
 class TestDegreeSequence:

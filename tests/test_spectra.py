@@ -41,6 +41,7 @@ from oracles import (
     polyroots_oracle,
     poly_pow,
     random_rank_matrix,
+    ratio_full_oracle,
     root_bound_pow2,
     sylvester_resultant_in_y,
     unity_order_oracle,
@@ -723,18 +724,23 @@ class TestLargeKClassesAgainstMpmath:
                 assert abs(math.hypot(re, im) - modulus) < 1e-9
 
 
+def _ratio_full(reduced: IntPoly, k: int) -> IntPoly:
+    """The full ratio polynomial reduced * (x - 1)^k."""
+    return reduced * poly_pow(IntPoly((-1, 1)), k)
+
+
 class TestRatioPolynomial:
     def test_quadratic_pair(self):
-        full, reduced = ratio_polynomial(IntPoly((1, 0, 1)))
-        assert full.degree == 4
+        reduced = ratio_polynomial(IntPoly((1, 0, 1)))
+        assert _ratio_full(reduced, 2).degree == 4
         assert reduced.primitive_positive() == IntPoly((1, 2, 1))  # (x+1)^2
 
     def test_ratio_roots_example(self):
-        _, reduced = ratio_polynomial(IntPoly((3, -2, 1)))  # t^2 - 2t + 3
+        reduced = ratio_polynomial(IntPoly((3, -2, 1)))  # t^2 - 2t + 3
         assert reduced.primitive_positive() == IntPoly((3, 2, 3))
 
     def test_distinct_real_roots(self):
-        _, reduced = ratio_polynomial(IntPoly((6, -5, 1)))  # roots 2, 3
+        reduced = ratio_polynomial(IntPoly((6, -5, 1)))  # roots 2, 3
         assert reduced.primitive_positive() == IntPoly((6, -13, 6))
 
     def test_zero_constant_rejected(self):
@@ -747,21 +753,12 @@ class TestRatioPolynomial:
             k = rng.choice([2, 3, 4])
             a = random_rank_matrix(rng, k, -3, 3)
             p = char_poly(a)
-            full, reduced = ratio_polynomial(p)
+            reduced = ratio_polynomial(p)
+            full = _ratio_full(reduced, k)
             assert full.degree == k * k
-            rebuilt = reduced
-            for _ in range(k):
-                rebuilt = rebuilt * IntPoly((-1, 1))
-            assert rebuilt == full
+            assert full == ratio_full_oracle(p)
             rev = reduced.reversed_coeffs().primitive_positive()
             assert rev == reduced.primitive_positive()
-
-
-def _oracle_ratio_full(p: IntPoly) -> IntPoly:
-    """Res_y(p(y), p(x*y)) as a Sylvester determinant."""
-    f_y = [IntPoly((c,)) for c in p.coeffs]
-    g_y = [IntPoly((0,) * i + (c,)) for i, c in enumerate(p.coeffs)]
-    return sylvester_resultant_in_y(f_y, g_y)
 
 
 def _oracle_product_sf(p: IntPoly) -> IntPoly:
@@ -773,7 +770,7 @@ def _oracle_product_sf(p: IntPoly) -> IntPoly:
 
 
 def _assert_matches_oracle(p: IntPoly) -> None:
-    assert ratio_polynomial(p)[0] == _oracle_ratio_full(p)
+    assert _ratio_full(ratio_polynomial(p), p.degree) == ratio_full_oracle(p)
     assert squarefree_part(spectra._product_poly(p))[0] == _oracle_product_sf(p)
 
 
@@ -836,7 +833,7 @@ class TestUnityRatioOrders:
     def test_gcd_agrees_with_divisibility(self):
         # dual route: every reported order must show up through poly_gcd too
         for p in (IntPoly((1, 0, 1)), IntPoly((1, -1, 1)), cyclotomic(5)):
-            _, reduced = ratio_polynomial(p)
+            reduced = ratio_polynomial(p)
             for m in unity_ratio_orders(p):
                 assert poly_gcd(reduced, cyclotomic(m)).degree >= 1
 
@@ -1025,6 +1022,12 @@ class TestPairAttribution:
 
 
 class TestSpectralSummary:
+    def test_negative_precision_rejected(self):
+        for bits in (-1, -1000):
+            with pytest.raises(ValueError, match="precision must be nonnegative"):
+                spectral_summary(PAIR_2X2, bits)
+        assert spectral_summary(PAIR_2X2, 0).ratio_flags[0].kind == NOT_ROOT_OF_UNITY
+
     def test_quarter_rotation(self):
         s = spectral_summary(QUARTER_ROTATION)
         assert len(s.modulus_classes) == 1

@@ -6,7 +6,7 @@ import pytest
 from monodeg.cells import STABILIZED, UNRESOLVED
 from monodeg.degree import degree_sequence
 from monodeg.errors import NotUnimodular, RankDeficient, WindowTooShort
-from monodeg.exact import IntMatrix, IntPoly, char_poly, det, inverse_unimodular, mat_pow
+from monodeg.exact import IntMatrix, IntPoly, char_poly, det, inverse_unimodular
 from monodeg.recur import Recurrence, find_recurrence
 from monodeg.spectra import EQ, reciprocal_summary, spectral_summary
 from monodeg.verdict import (
@@ -29,7 +29,14 @@ from conftest import (
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
 )
-from oracles import check_candidate, random_matrix, random_rank_matrix, random_unimodular
+from oracles import (
+    canonical_cell,
+    check_candidate,
+    mat_pow,
+    random_matrix,
+    random_rank_matrix,
+    random_unimodular,
+)
 
 
 class TestClassifyD1:
@@ -261,13 +268,12 @@ class TestCrossCheck:
         # cross check must retry on a doubled window and then flag it
         import monodeg.verdict as verdict_mod
         from monodeg.cells import CellTrace, TraceStatus
-        from monodeg.degree import canonical_cell
 
         calls = []
 
         def fake_trace(a, window):
             calls.append(window)
-            rep, _ = canonical_cell(a)
+            rep = canonical_cell(a)
             return CellTrace(
                 source=a,
                 window=window,
@@ -290,13 +296,12 @@ class TestCrossCheck:
         # window, where it still holds, and then flags it
         import monodeg.verdict as verdict_mod
         from monodeg.cells import CellTrace, TraceStatus
-        from monodeg.degree import canonical_cell
 
         calls = []
 
         def fake_trace(a, window):
             calls.append(window)
-            rep, _ = canonical_cell(a)
+            rep = canonical_cell(a)
             return CellTrace(
                 source=a,
                 window=window,
