@@ -1,10 +1,12 @@
 """Exact arithmetic kernel: big-integer matrices and integer polynomials.
 
 Everything here is exact; no machine floats appear.  Matrix determinants use
-fraction-free Bareiss elimination, characteristic polynomials and unimodular
-inverses one Faddeev-LeVerrier pass, and conversions between the coefficients
-of a monic polynomial and the power sums of its roots Newton's identities
-(the interior divisions of both are exact by construction).
+fraction-free Bareiss elimination.  Conversions between the coefficients of
+a monic polynomial and the power sums of its roots use Newton's identities
+(the interior divisions are exact by construction).  Characteristic
+polynomials come from Le Verrier's traces tr(A^m) = s_m through those
+identities, and unimodular inverses from Cayley-Hamilton on the same powers
+of A.
 
 Values are immutable and operations are pure functions, so the module is safe
 for concurrent use.  The only shared state is the cyclotomic cache, whose
@@ -40,7 +42,7 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cs = tuple(operator.index(c) for c in self.coeffs)
+        cs = tuple(map(operator.index, self.coeffs))
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -189,23 +191,27 @@ class IntPoly:
         return self.format()
 
     def format(self, var: str = "x") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return _format_poly(self.coeffs, var)
+
+
+def _format_poly(coeffs: Sequence, var: str = "x") -> str:
+    """Text of sum c_i*var^i, highest degree first, for integer or Fraction
+    coefficients given in ascending order ("0" when all vanish)."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            term = str(abs(c))
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts) or "0"
 
 
 def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -365,7 +371,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(operator.index(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         if not rows:
             raise ValueError("matrix must have at least one row")
         k = len(rows)
@@ -420,38 +426,41 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _faddeev_leverrier(a: IntMatrix) -> tuple[IntPoly, Rows]:
-    """chi_A = det(tI - A) and the last Faddeev-LeVerrier matrix M_k.
+def _le_verrier(a: IntMatrix) -> tuple[IntPoly, list[Rows]]:
+    """chi_A = det(tI - A) and the powers A^0 .. A^(k-1).
 
-    M_1 = I, M_(s+1) = A*M_s + c_(k-s)*I with c_(k-s) = -tr(A*M_s)/s, an exact
-    division.  Cayley-Hamilton gives M_(k+1) = 0, so A*M_k = -c_0*I.  Each
-    M_s commutes with A, so A*M_s is taken as M_s*A with A's columns read once.
+    Le Verrier: the traces tr(A^m), m = 1..k, are the power sums of the
+    eigenvalues, so ``_from_power_sums`` turns them into chi_A.  Of A^k only
+    the diagonal is formed, row i of A^(k-1) against column i of A.
     """
     k = a.k
     cols = tuple(zip(*a.rows))
-    coeffs = [0] * k + [1]
-    am = ((0,) * k,) * k  # A*M_0, so that M_1 = A*M_0 + c_k*I = I
-    for s in range(1, k + 1):
-        c = coeffs[k - s + 1]
-        m = tuple(tuple(x + c * (i == j) for j, x in enumerate(r)) for i, r in enumerate(am))
-        am = _product_rows(m, cols)
-        tr = sum(am[i][i] for i in range(k))
-        if tr % s != 0:
-            raise ArithmeticError("Faddeev-LeVerrier trace division not exact")
-        coeffs[k - s] = -(tr // s)
-    return IntPoly(coeffs), m
+    powers = [IntMatrix.identity(k).rows, a.rows][:k]
+    while len(powers) < k:
+        powers.append(_product_rows(powers[-1], cols))
+    traces = [sum(p[i][i] for i in range(k)) for p in powers[1:]]
+    traces.append(sum(sum(map(operator.mul, r, c)) for r, c in zip(powers[-1], cols)))
+    return _from_power_sums(traces), powers
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(tI - A), monic of degree k."""
-    return _faddeev_leverrier(a)[0]
+    return _le_verrier(a)[0]
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1: A^-1 = -c_0*M_k,
-    since c_0 = chi_A(0) = (-1)^k det A is then +-1."""
-    chi, m = _faddeev_leverrier(a)
-    c0 = chi.constant
+    """Exact integer inverse of a matrix with determinant +-1.
+
+    Cayley-Hamilton, sum_(j=0..k) c_j*A^j = 0, gives
+    A^-1 = -c_0 * sum_(j=1..k) c_j*A^(j-1), since c_0 = chi_A(0) = (-1)^k det A
+    is then +-1.
+    """
+    chi, powers = _le_verrier(a)
+    c0, c = chi.constant, chi.coeffs[1:]
     if c0 not in (1, -1):
         raise NotUnimodular(f"matrix has determinant {(-1) ** a.k * c0}, expected +-1")
-    return IntMatrix(tuple(tuple(-c0 * x for x in row) for row in m))
+    return IntMatrix(tuple(
+        # entries: (A^0)[r][s], ..., (A^(k-1))[r][s] for one row r, column s
+        tuple(-c0 * sum(map(operator.mul, c, entries)) for entries in zip(*row_r))
+        for row_r in zip(*powers)
+    ))

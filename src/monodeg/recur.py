@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import WindowTooShort
-from .exact import IntPoly
+from .exact import IntPoly, _format_poly
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,7 @@ class Recurrence:
         return IntPoly(tuple(int(c) for c in self.coefficients) + (1,))
 
     def format(self, var: str = "x") -> str:
-        p = self.char_poly()
-        if p is not None:
-            return p.format(var)
-        terms = [f"{var}^{self.order}"]
-        for i in range(self.order - 1, -1, -1):
-            c = self.coefficients[i]
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            mag = abs(c)
-            coeftxt = mono if (mag == 1 and i > 0) else f"{mag}*{mono}" if i > 0 else f"{mag}"
-            terms.append(f"+ {coeftxt}" if c > 0 else f"- {coeftxt}")
-        return " ".join(terms)
+        return _format_poly(self.coefficients + (1,), var)
 
 
 def _clear_denominators(seq: Sequence[Fraction | int]) -> list[int]:

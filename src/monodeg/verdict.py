@@ -3,10 +3,12 @@
 The engine proves one of three outcomes from certified spectral facts:
 
 * RECURRENCE_PROVEN when every eigenvalue of modulus at least 1 is real or
-  belongs to a conjugate pair whose ratio is a root of unity (criterion
-  THM_1_1_PART1; when those eigenvalues are all real and positive the
-  characteristic polynomial itself is the recurrence, criterion
-  THM_2_7_CHARPOLY);
+  belongs to a conjugate pair whose ratio is a root of unity.  The
+  recurrence is chi_(A^tau)(x^tau) for the least stride tau with
+  (lambda/|lambda|)^tau = 1 on all those eigenvalues (criterion
+  THM_1_1_PART1); THM_2_7_CHARPOLY is its stride-1 case, when they are all
+  real and positive and the characteristic polynomial itself is the
+  recurrence;
 * NO_RECURRENCE_PROVEN when the strictly largest modulus is attained by
   exactly one simple non-real conjugate pair whose ratio is not a root of
   unity (criterion PROP_3_1);
@@ -91,33 +93,13 @@ def _power_recurrence(chi: IntPoly, tau: int) -> Recurrence:
     of A^tau, so chi_{A^tau}(x^tau) eventually annihilates the degree
     sequence (from the index where each residue class settles into one cell;
     the offset is recovered separately by exact verification).  chi = chi_A,
-    and chi_{A^tau} has the roots lambda^tau.
+    and chi_{A^tau} has the roots lambda^tau; at tau = 1 the recurrence is
+    chi_A itself.
     """
     chi_tau = _root_powers(chi, tau)
     stretched = [0] * (chi_tau.degree * tau + 1)
     stretched[::tau] = chi_tau.coeffs
     return Recurrence.from_poly(IntPoly(stretched))
-
-
-def _unity_stride(summary: SpectralSummary) -> int:
-    """Least common multiple of per-eigenvalue exponents tau with
-    (lambda/|lambda|)^tau = 1, over eigenvalues of modulus >= 1.
-
-    Real positive roots need tau = 1, real negative roots tau = 2, and a pair
-    whose conjugate ratio has order m needs tau = 2m (the square of
-    lambda/|lambda| is the inverse ratio).
-    """
-    tau = 1
-    ge1 = set(_modulus_ge_one_indices(summary))
-    for idx in ge1:
-        box = summary.roots[idx]
-        if box.is_real:
-            tau = math.lcm(tau, 1 if box.center[0] > 0 else 2)
-        else:
-            flag = summary.ratio_flags[idx]
-            if flag.kind == ROOT_OF_UNITY and flag.order:
-                tau = math.lcm(tau, 2 * flag.order)
-    return tau
 
 
 def classify_d1(a: IntMatrix, precision_bits: int = 256) -> Verdict:
@@ -153,46 +135,35 @@ def _classify_from_summary(summary: SpectralSummary) -> Verdict:
         detail_base["unresolved_flags"] = unresolved_flags
 
     # Hypothesis for a proven recurrence: every eigenvalue of modulus >= 1 is
-    # real or sits in a pair whose ratio is a root of unity.
+    # real or sits in a pair whose ratio is a root of unity.  The stride tau
+    # is the lcm of the exponents with (lambda/|lambda|)^tau = 1: 1 for a
+    # positive root, 2 for a negative one, 2m for a pair whose ratio has
+    # order m (the square of lambda/|lambda| is the inverse ratio).
     h1_unresolved = False
     h1_holds = True
+    tau = 1
     for idx in ge1:
-        box = summary.roots[idx]
+        box, flag = summary.roots[idx], summary.ratio_flags[idx]
         if box.is_real:
-            continue
-        flag = summary.ratio_flags[idx]
-        if flag.kind == ROOT_OF_UNITY:
-            continue
-        if flag.kind == NOT_ROOT_OF_UNITY:
-            h1_holds = False
+            tau = math.lcm(tau, 1 if box.center[0] > 0 else 2)
+        elif flag.kind == ROOT_OF_UNITY:
+            tau = math.lcm(tau, 2 * flag.order)
         else:
             h1_holds = False
-            h1_unresolved = True
+            h1_unresolved |= flag.kind != NOT_ROOT_OF_UNITY
     if h1_holds:
-        all_real_positive = all(
-            summary.roots[idx].is_real and summary.roots[idx].center[0] > 0 for idx in ge1
-        )
-        if all_real_positive:
-            rec = Recurrence.from_poly(summary.char_poly)
-            return Verdict(
-                RECURRENCE_PROVEN,
-                THM_2_7_CHARPOLY,
-                {**detail_base, "recurrence_order": rec.order},
-                recurrence=rec,
-            )
-        stride = _unity_stride(summary)
-        rec = _power_recurrence(summary.char_poly, stride)
+        rec = _power_recurrence(summary.char_poly, tau)
+        basis, stride = (THM_2_7_CHARPOLY, {}) if tau == 1 else (THM_1_1_PART1, {"stride": tau})
         return Verdict(
             RECURRENCE_PROVEN,
-            THM_1_1_PART1,
-            {**detail_base, "stride": stride, "recurrence_order": rec.order},
+            basis,
+            {**detail_base, **stride, "recurrence_order": rec.order},
             recurrence=rec,
         )
 
     # Hypothesis against any recurrence: the top modulus class is exactly one
     # simple non-real conjugate pair with non-unity ratio.
-    top = summary.modulus_classes[0]
-    if summary.dominant_pair is not None and set(summary.dominant_pair) == set(top.indices):
+    if summary.dominant_pair is not None:
         i, j = summary.dominant_pair
         both_simple = (
             summary.roots[i].multiplicity == 1 and summary.roots[j].multiplicity == 1
@@ -202,7 +173,7 @@ def _classify_from_summary(summary: SpectralSummary) -> Verdict:
             return Verdict(
                 NO_RECURRENCE_PROVEN,
                 PROP_3_1,
-                {**detail_base, "top_class_versus_one": top.versus_one},
+                {**detail_base, "top_class_versus_one": summary.modulus_classes[0].versus_one},
             )
         if both_simple and flag.kind not in (ROOT_OF_UNITY, NOT_ROOT_OF_UNITY):
             h1_unresolved = True

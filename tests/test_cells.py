@@ -132,7 +132,7 @@ def evict_walk():
 @pytest.fixture
 def walk_products(monkeypatch):
     """Counter of the power products the held walk makes, from a cold slot.
-    Products made elsewhere (Faddeev-LeVerrier) are not counted."""
+    Products made elsewhere (the powers behind char_poly) are not counted."""
     evict_walk()
     count = [0]
 

@@ -20,6 +20,7 @@ from monodeg.exact import (
 
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE, TRIBONACCI_COMPANION
 from oracles import (
+    _bareiss_det_poly,
     eval_fraction,
     mat_mul,
     mat_pow,
@@ -27,6 +28,7 @@ from oracles import (
     poly_from_roots,
     random_matrix,
 )
+from test_spectra_golden import MATRICES as GOLDEN_MATRICES
 
 
 class TestMatMul:
@@ -119,6 +121,37 @@ class TestCharPoly:
             result = poly_at_matrix(char_poly(a), a)
             assert result == IntMatrix(((0,) * k,) * k), (a, result)
         assert poly_at_matrix(char_poly(IntMatrix.identity(2)), IntMatrix.identity(2)) == zero2
+
+    @staticmethod
+    def _det_t_minus(a: IntMatrix) -> IntPoly:
+        """det(tI - A) by fraction-free elimination over Z[t]."""
+        return _bareiss_det_poly([
+            [IntPoly((-x, int(i == j))) for j, x in enumerate(row)]
+            for i, row in enumerate(a.rows)
+        ])
+
+    def test_matches_determinant_on_randoms(self):
+        # Cayley-Hamilton alone does not pin chi_A on derogatory matrices
+        # ((x-1)(x-2) also annihilates I_2), so compare with det(tI - A).
+        rng = random.Random(17)
+        for k in range(1, 8):
+            for _ in range(6):
+                a = random_matrix(rng, k, -3, 3)
+                assert char_poly(a) == self._det_t_minus(a), a
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            IntMatrix.identity(1).rows,
+            IntMatrix.identity(4).rows,
+            ((2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (0, 0, 0, 2)),  # Jordan block
+            GOLDEN_MATRICES["k3 repeated eigenvalue"],
+            GOLDEN_MATRICES["k5 unimodular repeated eigenvalues"],
+        ],
+    )
+    def test_matches_determinant_when_derogatory_or_repeated(self, rows):
+        a = IntMatrix(rows)
+        assert char_poly(a) == self._det_t_minus(a)
 
     def test_unimodular_reversal(self):
         rng = random.Random(31)

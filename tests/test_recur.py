@@ -312,6 +312,16 @@ class TestRecurrenceType:
         rec = Recurrence.from_poly(IntPoly((-1, -1, 1)))
         assert rec.format() == "x^2 - x - 1"
 
+    def test_format_order_one_rational(self):
+        assert Recurrence((Fraction(1, 2),)).format() == "x + 1/2"
+
+    def test_format_rational(self):
+        rec = Recurrence((Fraction(-1, 2), Fraction(0), Fraction(3, 2)))
+        assert rec.format() == "x^3 + 3/2*x^2 - 1/2"
+
+    def test_format_zero_polynomial(self):
+        assert IntPoly().format() == "0"
+
     def test_char_poly_none_for_fractions(self):
         rec = Recurrence((Fraction(1, 2),))
         assert rec.char_poly() is None
