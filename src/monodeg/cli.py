@@ -20,18 +20,11 @@ from typing import Any
 from . import cells as cells_mod
 from .cells import CellTrace, cell_trace
 from .degree import degree_sequence
-from .errors import (
-    MatrixParseError,
-    MonodegError,
-    NotUnimodular,
-    RankDeficient,
-    UnresolvedCertification,
-    WindowTooShort,
-)
+from .errors import MatrixParseError, MonodegError, UnresolvedCertification
 from .exact import IntMatrix, IntPoly, char_poly
 from .recur import Recurrence, find_recurrence
 from .spectra import SpectralSummary
-from .verdict import Verdict, _dual_from_forward, classify_d1, cross_check
+from .verdict import CONSISTENT, Verdict, _dual_from_forward, classify_d1, cross_check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -201,77 +194,85 @@ def render_json(payload: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its report as (payload, text, exit code), and run
+# writes the payload as JSON or the text
 # ---------------------------------------------------------------------------
 
-def _bounds(a: IntMatrix, args) -> tuple[int, int]:
+_Report = tuple[dict[str, Any], str, int]
+
+
+def _bounds(a: IntMatrix, args) -> tuple[int, int, int]:
+    """Search bounds (max_order, guard) and the number of terms they need,
+    at least --terms."""
     max_order = args.max_order if args.max_order else 2 * a.k * a.k
     guard = args.guard if args.guard else 4 * max_order
-    return max_order, guard
+    return max_order, guard, max(args.terms, 2 * max_order + guard)
 
 
-def _sequence_terms(a: IntMatrix, n: int) -> list[int]:
-    return list(degree_sequence(a, n).terms)
+def _strict_exit(args, *verdicts: Verdict | None) -> int:
+    """EXIT_UNRESOLVED under --strict when a verdict is UNKNOWN for an
+    unresolved certification or carries unresolved ratio flags."""
+    unresolved = any(
+        v is not None
+        and (v.is_unknown and "unresolved" in v.details or v.details.get("unresolved_flags"))
+        for v in verdicts
+    )
+    return EXIT_UNRESOLVED if args.strict and unresolved else EXIT_OK
 
 
-def _unresolved_in(*verdicts: Verdict | None) -> bool:
-    for v in verdicts:
-        if v is None:
-            continue
-        if v.is_unknown and "unresolved" in v.details:
-            return True
-        if v.details.get("unresolved_flags"):
-            return True
-    return False
+def _chi_and_dual(a: IntMatrix, d1: Verdict) -> tuple[IntPoly, Verdict | None]:
+    """chi_A, read off the forward verdict's spectral summary (computed when
+    there is none), and the dual verdict when A is unimodular, that is when
+    chi_A(0) = (-1)^k det A is +-1."""
+    chi = d1.summary.char_poly if d1.summary is not None else char_poly(a)
+    return chi, _dual_from_forward(d1) if chi.constant in (1, -1) else None
 
 
-def _cmd_sequence(a: IntMatrix, args, out) -> int:
-    terms = _sequence_terms(a, args.terms)
-    if args.format == "json":
-        out.write(render_json({"input": [list(r) for r in a.rows], "terms": args.terms, "sequence": terms}))
-    elif args.format == "csv":
-        out.write("n,degree\n")
-        for i, d in enumerate(terms, start=1):
-            out.write(f"{i},{d}\n")
+def _verdict_line(label: str, classification: str, basis: str | None) -> str:
+    return f"{label} verdict: {classification}" + (f" (basis {basis})" if basis else "")
+
+
+def _recurrence_line(rec: dict[str, Any]) -> str:
+    """A found recurrence, from its payload."""
+    return (f"recurrence: {rec['polynomial']} "
+            f"(order {rec['order']}, valid from {rec['valid_from']})")
+
+
+def _lines(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _cmd_sequence(a: IntMatrix, args) -> _Report:
+    terms = list(degree_sequence(a, args.terms).terms)
+    payload = {"input": [list(r) for r in a.rows], "terms": args.terms, "sequence": terms}
+    if args.format == "csv":
+        text = _lines(["n,degree"] + [f"{i},{d}" for i, d in enumerate(terms, start=1)])
     else:
-        out.write(" ".join(str(t) for t in terms) + "\n")
-    return EXIT_OK
+        text = _lines([" ".join(str(t) for t in terms)])
+    return payload, text, EXIT_OK
 
 
-def _cmd_recurrence(a: IntMatrix, args, out) -> int:
-    max_order, guard = _bounds(a, args)
-    need = 2 * max_order + guard
-    terms = _sequence_terms(a, max(args.terms, need))
-    rec = find_recurrence(terms, max_order, guard)
+def _cmd_recurrence(a: IntMatrix, args) -> _Report:
+    max_order, guard, need = _bounds(a, args)
+    terms = degree_sequence(a, need).terms
+    rec = _recurrence_payload(find_recurrence(terms, max_order, guard))
     payload = {
         "input": [list(r) for r in a.rows],
         "bounds": {"max_order": max_order, "guard": guard, "terms": len(terms)},
-        "recurrence": _recurrence_payload(rec),
+        "recurrence": rec,
     }
-    if args.format == "json":
-        out.write(render_json(payload))
-    elif rec is None:
-        out.write(
-            f"no recurrence found within bounds "
-            f"(max_order={max_order}, guard={guard}, terms={len(terms)})\n"
-        )
+    if rec is None:
+        text = (f"no recurrence found within bounds "
+                f"(max_order={max_order}, guard={guard}, terms={len(terms)})")
     else:
-        out.write(
-            f"recurrence: {rec.format()} (order {rec.order}, valid from {rec.valid_from})\n"
-        )
-    return EXIT_OK
+        text = _recurrence_line(rec)
+    return payload, _lines([text]), EXIT_OK
 
 
-def _char_poly(a: IntMatrix, d1: Verdict) -> IntPoly:
-    """chi_A, read off the forward verdict's spectral summary when it has one."""
-    return d1.summary.char_poly if d1.summary is not None else char_poly(a)
-
-
-def _cmd_verdict(a: IntMatrix, args, out) -> int:
-    bits = args.precision
-    d1 = classify_d1(a, bits)
-    dual = _dual_from_forward(d1) if _char_poly(a, d1).constant in (1, -1) else None
-    payload: dict[str, Any] = {
+def _cmd_verdict(a: IntMatrix, args) -> _Report:
+    d1 = classify_d1(a, args.precision)
+    _, dual = _chi_and_dual(a, d1)
+    payload = {
         "input": [list(r) for r in a.rows],
         "d1": d1.classification,
         "basis": d1.basis,
@@ -279,54 +280,39 @@ def _cmd_verdict(a: IntMatrix, args, out) -> int:
         "dual": dual.classification if dual else None,
         "dual_basis": dual.basis if dual else None,
     }
-    if args.format == "json":
-        out.write(render_json(payload))
-    else:
-        out.write(f"d1 verdict: {d1.classification}"
-                  + (f" (basis {d1.basis})" if d1.basis else "") + "\n")
-        if dual is not None:
-            out.write(f"dual verdict: {dual.classification}"
-                      + (f" (basis {dual.basis})" if dual.basis else "") + "\n")
-        else:
-            out.write("dual verdict: not unimodular, undefined\n")
-    if args.strict and _unresolved_in(d1, dual):
-        return EXIT_UNRESOLVED
-    return EXIT_OK
+    text = _lines([
+        _verdict_line("d1", d1.classification, d1.basis),
+        _verdict_line("dual", dual.classification, dual.basis) if dual
+        else "dual verdict: not unimodular, undefined",
+    ])
+    return payload, text, _strict_exit(args, d1, dual)
 
 
-def _cmd_cells(a: IntMatrix, args, out) -> int:
+def _cmd_cells(a: IntMatrix, args) -> _Report:
     trace = cell_trace(a, args.terms)
+    st = trace.status
+    line = f"cell trace over {trace.window} powers: {st.kind}"
+    if st.kind == cells_mod.STABILIZED:
+        line += f" from n={st.from_index} in cell {st.cell.choices}"
+    elif st.kind == cells_mod.PERIODIC:
+        line += f" with period {st.period} from n={st.from_index}"
     payload = {"input": [list(r) for r in a.rows], "cells": _trace_payload(trace)}
-    if args.format == "json":
-        out.write(render_json(payload))
-    else:
-        st = trace.status
-        line = f"cell trace over {trace.window} powers: {st.kind}"
-        if st.kind == cells_mod.STABILIZED:
-            line += f" from n={st.from_index} in cell {st.cell.choices}"
-        elif st.kind == cells_mod.PERIODIC:
-            line += f" with period {st.period} from n={st.from_index}"
-        out.write(line + "\n")
-        out.write(f"switches at: {list(trace.switch_indices)}\n")
-    return EXIT_OK
+    text = _lines([line, f"switches at: {list(trace.switch_indices)}"])
+    return payload, text, EXIT_OK
 
 
-def _cmd_analyze(a: IntMatrix, args, out) -> int:
-    bits = args.precision
-    max_order, guard = _bounds(a, args)
-    seq_len = max(args.terms, 2 * max_order + guard)
-    report = cross_check(a, seq_len, max_order, bits, guard)
+def _cmd_analyze(a: IntMatrix, args) -> _Report:
+    max_order, guard, window = _bounds(a, args)
+    report = cross_check(a, window, max_order, args.precision, guard)
     d1 = report.verdict
-    chi = _char_poly(a, d1)
-    d = (-1) ** a.k * chi.constant
-    dual = _dual_from_forward(d1) if d in (1, -1) else None
+    chi, dual = _chi_and_dual(a, d1)
     if d1.summary is None:
         spectrum = {"unresolved": f"unresolved: {d1.details['unresolved']}"}
     else:
         spectrum = _spectrum_payload(d1.summary)
     payload = {
         "input": [list(r) for r in a.rows],
-        "det": d,
+        "det": (-1) ** a.k * chi.constant,
         "char_poly": list(chi.coeffs),
         "spectrum": spectrum,
         "sequence": list(report.sequence.terms[: args.terms]),
@@ -342,77 +328,48 @@ def _cmd_analyze(a: IntMatrix, args, out) -> int:
             "conflicts": list(report.conflicts),
         },
     }
-    if args.format == "json":
-        out.write(render_json(payload))
-    else:
-        _render_analysis_text(payload, out)
-    if report.status != "CONSISTENT":
-        return EXIT_INCONSISTENT
-    if args.strict and _unresolved_in(d1, dual):
-        return EXIT_UNRESOLVED
-    return EXIT_OK
+    code = EXIT_INCONSISTENT if report.status != CONSISTENT else _strict_exit(args, d1, dual)
+    return payload, _analysis_text(payload), code
 
 
-def _render_analysis_text(payload: dict[str, Any], out) -> None:
-    out.write("matrix: " + json.dumps(payload["input"]) + "\n")
-    out.write(f"det: {payload['det']}\n")
-    out.write("char poly (ascending): " + json.dumps(payload["char_poly"]) + "\n")
+def _analysis_text(payload: dict[str, Any]) -> str:
+    lines = [
+        "matrix: " + json.dumps(payload["input"]),
+        f"det: {payload['det']}",
+        "char poly (ascending): " + json.dumps(payload["char_poly"]),
+    ]
     spectrum = payload["spectrum"]
     if "unresolved" in spectrum:
-        out.write(f"spectrum: {spectrum['unresolved']}\n")
-        _render_analysis_tail(payload, out)
-        return
-    out.write("roots:\n")
-    for i, r in enumerate(spectrum["roots"]):
-        tag = "real" if r["is_real"] else f"pair with #{r['conjugate_partner']}"
-        out.write(
-            f"  #{i}: {r['re']} + {r['im']}i  (radius {r['radius']}, "
-            f"mult {r['multiplicity']}, {tag})\n"
-        )
-    out.write("modulus classes (descending): ")
-    out.write(
-        "; ".join(
+        lines.append(f"spectrum: {spectrum['unresolved']}")
+    else:
+        lines.append("roots:")
+        for i, r in enumerate(spectrum["roots"]):
+            tag = "real" if r["is_real"] else f"pair with #{r['conjugate_partner']}"
+            lines.append(
+                f"  #{i}: {r['re']} + {r['im']}i  (radius {r['radius']}, "
+                f"mult {r['multiplicity']}, {tag})"
+            )
+        lines.append("modulus classes (descending): " + "; ".join(
             f"{cls['indices']} {cls['versus_one']} 1" for cls in spectrum["modulus_classes"]
-        )
-        + "\n"
-    )
-    out.write("ratio flags: ")
-    out.write(
-        "; ".join(
+        ))
+        lines.append("ratio flags: " + "; ".join(
             f"#{i} {f['kind']}" + (f"({f['order']})" if f["order"] else "")
             for i, f in enumerate(spectrum["ratio_flags"])
-        )
-        + "\n"
-    )
-    _render_analysis_tail(payload, out)
-
-
-def _render_analysis_tail(payload: dict[str, Any], out) -> None:
-    out.write("sequence: " + " ".join(str(t) for t in payload["sequence"]) + "\n")
-    rec = payload["recurrence"]
-    if rec is None:
-        b = payload["search_bounds"]
-        out.write(
-            f"recurrence: none found within bounds (max_order={b['max_order']}, "
-            f"guard={b['guard']}, window={b['window']})\n"
-        )
-    else:
-        out.write(
-            f"recurrence: {rec['polynomial']} (order {rec['order']}, "
-            f"valid from {rec['valid_from']})\n"
-        )
-    v = payload["verdicts"]["d1"]
-    out.write(f"d1 verdict: {v['classification']}"
-              + (f" (basis {v['basis']})" if v["basis"] else "") + "\n")
-    dv = payload["verdicts"]["dual"]
-    if dv is not None:
-        out.write(f"dual verdict: {dv['classification']}"
-                  + (f" (basis {dv['basis']})" if dv["basis"] else "") + "\n")
+        ))
+    lines.append("sequence: " + " ".join(str(t) for t in payload["sequence"]))
+    rec, b = payload["recurrence"], payload["search_bounds"]
+    lines.append(_recurrence_line(rec) if rec is not None else (
+        f"recurrence: none found within bounds (max_order={b['max_order']}, "
+        f"guard={b['guard']}, window={b['window']})"
+    ))
+    for label, v in payload["verdicts"].items():
+        if v is not None:
+            lines.append(_verdict_line(label, v["classification"], v["basis"]))
     c = payload["cells"]
-    out.write(f"cells: {c['status']} (switches: {c['switch_count']})\n")
-    out.write(f"consistency: {payload['consistency']['status']}\n")
-    for conflict in payload["consistency"]["conflicts"]:
-        out.write(f"  conflict: {conflict}\n")
+    lines.append(f"cells: {c['status']} (switches: {c['switch_count']})")
+    lines.append(f"consistency: {payload['consistency']['status']}")
+    lines += [f"  conflict: {conflict}" for conflict in payload["consistency"]["conflicts"]]
+    return _lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +428,13 @@ def run(argv: list[str], out=None) -> int:
             "verdict": _cmd_verdict,
             "cells": _cmd_cells,
         }[args.command]
-        return handler(a, args, out)
-    except (MatrixParseError, RankDeficient, NotUnimodular, WindowTooShort, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        payload, text, code = handler(a, args)
+        out.write(render_json(payload) if args.format == "json" else text)
+        return code
     except UnresolvedCertification as exc:
         sys.stderr.write(f"unresolved certification: {exc}\n")
         return EXIT_UNRESOLVED if args.strict else EXIT_OK
-    except MonodegError as exc:
+    except (MonodegError, ValueError) as exc:  # input errors are both
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

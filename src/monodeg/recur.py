@@ -49,12 +49,6 @@ class Recurrence:
             raise ValueError("recurrence polynomial must be monic of degree >= 1")
         return cls(tuple(Fraction(c) for c in p.coeffs[:-1]), valid_from)
 
-    def char_poly(self) -> IntPoly | None:
-        """Monic integer polynomial carrying the coefficients, when integral."""
-        if any(c.denominator != 1 for c in self.coefficients):
-            return None
-        return IntPoly(tuple(int(c) for c in self.coefficients) + (1,))
-
     def format(self, var: str = "x") -> str:
         return _format_poly(self.coefficients + (1,), var)
 

@@ -313,6 +313,18 @@ class TestStrictMode:
         assert (payload["det"], payload["char_poly"]) == (-1, [-1, -1, 1])
         assert payload["verdicts"]["dual"]["classification"] == "UNKNOWN"
 
+    @pytest.mark.parametrize("matrix", [FORWARD, "[[0,-1],[1,0]]"])
+    def test_unresolved_ratio_flags_exit_codes(self, monkeypatch, matrix):
+        import monodeg.spectra as spectra_mod
+
+        unresolved = spectra_mod.RatioFlag(spectra_mod.UNRESOLVED)
+        monkeypatch.setattr(spectra_mod, "_attribute_pair", lambda *args: unresolved)
+        code, out = run_cli(["verdict", "-m", matrix, "--strict"])
+        assert code == 4
+        assert out.startswith("d1 verdict: UNKNOWN\n")
+        code, _ = run_cli(["verdict", "-m", matrix])
+        assert code == EXIT_OK
+
     def test_isolation_failure_exit_code(self, monkeypatch):
         import monodeg.spectra as spectra_mod
 

@@ -17,7 +17,7 @@ from monodeg.recur import (
     verify_recurrence,
 )
 
-from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE
+from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE, recurrence_poly
 from oracles import (
     check_candidate,
     eventually_periodic_oracle,
@@ -41,19 +41,19 @@ class TestBerlekampMassey:
         rec = berlekamp_massey([1, 1, 2, 3, 5, 8, 13, 21])
         assert rec is not None
         assert rec.order == 2
-        assert rec.char_poly() == IntPoly((-1, -1, 1))  # x^2 - x - 1
+        assert recurrence_poly(rec) == IntPoly((-1, -1, 1))  # x^2 - x - 1
 
     def test_inverse_map_sequence(self):
         rec = berlekamp_massey([2, 4, 7, 13, 24, 44, 81, 149, 274, 504])
         assert rec is not None
         assert rec.order == 3
-        assert rec.char_poly() == IntPoly((-1, -1, -1, 1))  # x^3 - x^2 - x - 1
+        assert recurrence_poly(rec) == IntPoly((-1, -1, -1, 1))  # x^3 - x^2 - x - 1
 
     def test_constant(self):
         rec = berlekamp_massey([1, 1, 1, 1])
         assert rec is not None
         assert rec.order == 1
-        assert rec.char_poly() == IntPoly((-1, 1))
+        assert recurrence_poly(rec) == IntPoly((-1, 1))
 
     def test_insufficient_evidence_returns_none(self):
         # 6 generic terms force order > 3, more than half the window
@@ -150,7 +150,7 @@ class TestFindRecurrence:
         terms = degree_sequence(NO_RECURRENCE_INVERSE, 20).terms
         rec = find_recurrence(terms, max_order=6, guard=8)
         assert rec is not None
-        assert rec.char_poly() == IntPoly((-1, -1, -1, 1))
+        assert recurrence_poly(rec) == IntPoly((-1, -1, -1, 1))
         assert rec.valid_from == 1
 
     def test_forward_sequence_finds_nothing(self):
@@ -179,7 +179,7 @@ class TestFindRecurrence:
         rec = find_recurrence(seq, max_order=4, guard=8)
         assert rec is not None
         assert rec.order == 1
-        assert rec.char_poly() == IntPoly((-2, 1))
+        assert recurrence_poly(rec) == IntPoly((-2, 1))
         assert rec.valid_from == 3
 
     def test_one_fit_per_search(self, monkeypatch):
@@ -193,7 +193,7 @@ class TestFindRecurrence:
         seq = [9, 7] + [2**i for i in range(98)]
         rec = find_recurrence(seq, max_order=4, guard=8)
         assert calls == [8]
-        assert rec.char_poly() == IntPoly((-2, 1))
+        assert recurrence_poly(rec) == IntPoly((-2, 1))
         assert rec.valid_from == 3
 
     def test_power_of_x_factor_becomes_valid_from(self):
@@ -201,7 +201,7 @@ class TestFindRecurrence:
         # three terms followed by a geometric tail
         seq = [5, -1, 4] + [3**i for i in range(21)]
         rec = find_recurrence(seq, max_order=4, guard=16)
-        assert rec.char_poly() == IntPoly((-3, 1))
+        assert recurrence_poly(rec) == IntPoly((-3, 1))
         assert rec.valid_from == 4
 
     def test_stripped_relation_needs_the_guard_tail(self):
@@ -321,7 +321,3 @@ class TestRecurrenceType:
 
     def test_format_zero_polynomial(self):
         assert IntPoly().format() == "0"
-
-    def test_char_poly_none_for_fractions(self):
-        rec = Recurrence((Fraction(1, 2),))
-        assert rec.char_poly() is None

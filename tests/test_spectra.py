@@ -277,6 +277,34 @@ class TestIntegerHandle:
         with pytest.raises(UnresolvedCertification):
             spectra._pin_real_signs([h], 1)
 
+    # p = (x - 1)(2^20 x - 2^20 - 1): simple roots 1 and 1 + 2^-20.  The
+    # radius bound 1/16 holds from the start, so only overlap forces the
+    # refinement below.
+    CLOSE_ROOTS = IntPoly((2**20 + 1, -(2**21 + 1), 2**20))
+
+    def _layout(self, starts):
+        p, eps = self.CLOSE_ROOTS, Fraction(1, 16)
+        handles = [spectra._Handle(p, (s, Fraction(0)), 64) for s in starts]
+        assert not spectra._disjoint(*(spectra._disks(h)[0] for h in handles))
+        return handles, spectra._certify_layout(handles, eps, spectra._refine_budget(p, eps))
+
+    def test_overlapping_disks_refine_apart(self):
+        # starts on either side of the midpoint 1 + 2^-21 end one per root
+        mid, step = 1 + Fraction(1, 1 << 21), Fraction(1, 1 << 23)
+        handles, certified = self._layout((mid - step, mid + step))
+        assert certified
+        assert spectra._disjoint(*(spectra._disks(h)[0] for h in handles))
+        for h, root in zip(handles, (1, 1 + Fraction(1, 1 << 20))):
+            assert abs(h.center()[0] - root) <= h.radius()
+
+    def test_starts_on_one_root_do_not_certify(self):
+        # both starts converge (linearly) to the root 1, so the disks never
+        # separate and the stalled handle ends the refinement early
+        handles, certified = self._layout((1 - Fraction(1, 1 << 10), 1 - Fraction(1, 1 << 11)))
+        assert not certified
+        assert any(h.stuck for h in handles)
+        assert max(h.bits for h in handles) <= 1 << 14
+
     def test_disjoint_matches_fraction_formula(self):
         rng = random.Random(77)
         for _ in range(3000):

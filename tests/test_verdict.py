@@ -28,6 +28,7 @@ from conftest import (
     PAIR_2X2,
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
+    recurrence_poly,
 )
 from oracles import (
     canonical_cell,
@@ -50,7 +51,7 @@ class TestClassifyD1:
         assert v.classification == RECURRENCE_PROVEN
         assert v.basis == THM_2_7_CHARPOLY
         assert v.recurrence is not None
-        assert v.recurrence.char_poly() == IntPoly((-1, -1, -1, 1))
+        assert recurrence_poly(v.recurrence) == IntPoly((-1, -1, -1, 1))
 
     def test_duplicated_pair_unknown(self):
         a = IntMatrix(((1, -2, 0, 0), (1, 1, 0, 0), (0, 0, 1, -2), (0, 0, 1, 1)))
@@ -64,8 +65,7 @@ class TestClassifyD1:
         assert 2 in v.details["unity_orders"]
         # the attached recurrence annihilates the actual degree sequence
         seq = degree_sequence(QUARTER_ROTATION, 24).terms
-        p = v.recurrence.char_poly()
-        assert p is not None
+        p = recurrence_poly(v.recurrence)
         assert check_candidate(seq, p) is not None
 
     def test_pair_2x2_no_recurrence(self):
@@ -79,7 +79,7 @@ class TestClassifyD1:
         assert v.classification == RECURRENCE_PROVEN
         assert v.basis == THM_1_1_PART1  # dominant eigenvalue real but negative
         seq = degree_sequence(a, 20).terms
-        assert check_candidate(seq, v.recurrence.char_poly()) is not None
+        assert check_candidate(seq, recurrence_poly(v.recurrence)) is not None
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
@@ -114,6 +114,25 @@ class TestClassifyD1:
         v = classify_d1(PAIR_2X2)
         assert v.classification == UNKNOWN
         assert "did not converge" in v.details["unresolved"]
+
+    @pytest.mark.parametrize("a, normally", [
+        (NO_RECURRENCE_3X3, PROP_3_1),
+        (QUARTER_ROTATION, THM_1_1_PART1),
+    ])
+    def test_unresolved_ratio_flags_never_prove(self, monkeypatch, a, normally):
+        # the dominant pair's ratio flag decides both criteria; left
+        # unresolved, neither may fire
+        import monodeg.spectra as spectra_mod
+
+        assert classify_d1(a).basis == normally
+        unresolved = spectra_mod.RatioFlag(spectra_mod.UNRESOLVED)
+        monkeypatch.setattr(spectra_mod, "_attribute_pair", lambda *args: unresolved)
+        v = classify_d1(a)
+        assert v.classification == UNKNOWN
+        assert v.basis is None
+        assert v.details["unresolved"] == "a needed ratio certification was unresolved"
+        pair = [i for i, b in enumerate(v.summary.roots) if not b.is_real]
+        assert v.details["unresolved_flags"] == tuple(pair) and len(pair) == 2
 
 
 class TestClassifyDual:
@@ -314,7 +333,7 @@ class TestCrossCheck:
 
         monkeypatch.setattr(verdict_mod, "cell_trace", fake_trace)
         report = cross_check(NO_RECURRENCE_3X3, window=60, max_order=10)
-        assert report.recurrence.char_poly() == IntPoly((1, -2, 1))
+        assert recurrence_poly(report.recurrence) == IntPoly((1, -2, 1))
         assert report.status == "INCONSISTENT"
         assert calls == [60, 120]  # the doubled-window retry happened
         assert any("order-2 candidate" in c for c in report.conflicts)
@@ -346,8 +365,7 @@ class TestCorpusProperties:
                 # and the offset can lie past the start of the fit window,
                 # see the regression tests below)
                 k = a.k
-                p = v1.recurrence.char_poly()
-                assert p is not None
+                p = recurrence_poly(v1.recurrence)
                 window = max(6 * 2 * k * k, 6 * p.degree)
                 seq = degree_sequence(a, window).terms
                 offset = check_candidate(seq, p)
@@ -369,7 +387,7 @@ class TestCorpusProperties:
         assert find_recurrence(seq, 8, 16) is None
         found = find_recurrence(seq, 12, 16)
         assert found is not None and found.order == 12
-        assert check_candidate(seq, v.recurrence.char_poly()) is not None
+        assert check_candidate(seq, recurrence_poly(v.recurrence)) is not None
 
     def test_slow_cell_stabilization_regression(self):
         # all-real spectrum with two close moduli: the attached stride-2
@@ -380,6 +398,6 @@ class TestCorpusProperties:
         assert v.classification == RECURRENCE_PROVEN
         assert v.basis == THM_1_1_PART1
         seq = degree_sequence(a, 150).terms
-        offset = check_candidate(seq, v.recurrence.char_poly())
+        offset = check_candidate(seq, recurrence_poly(v.recurrence))
         assert offset is not None
         assert offset > 2 * a.k * a.k  # past the default max_order
