@@ -51,6 +51,12 @@ Decision loops (modulus matching, ratio attribution) additionally honour a
 configurable refinement cap, default radius 2^-256, beyond which they raise
 UnresolvedCertification rather than guess; so does isolation when neither
 proposer yields starts that certify.
+
+The last summary computed is held for the next call: a call on equal rows
+with the same refinement cap reads it, so the forward and the dual verdict
+of one matrix run one analysis.  The summary is a pure function of the rows
+and the cap and immutable all the way down, the slot is replaced whole by
+one assignment, and failures are never held (spectral_summary).
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -888,13 +895,34 @@ def _attribute_pair(
 
 # -- full summary -------------------------------------------------------------
 
+# The held summary: the rows and refinement cap of the last successful
+# analysis and its summary.  Replaced whole, never mutated.
+_held: tuple = ((), None, None)
+
+
 def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary:
     """Characteristic polynomial, certified root boxes with multiplicities,
     equal-modulus classes compared against 1, the dominant conjugate pair if
     there is one, and conjugate-ratio flags per root.  ``precision_bits``,
-    the refinement cap exponent, must be nonnegative."""
+    the refinement cap exponent, must be nonnegative.
+
+    One slot holds the last summary computed, keyed on the matrix's rows and
+    the cap's value, so ``spectral_summary(a)`` and ``spectral_summary(a,
+    256)`` share it; a call with both equal returns the held summary, any
+    other computes one and replaces the slot.  That is sound: the summary is a pure function of the rows and
+    the cap, and it is immutable all the way down (frozen dataclasses,
+    tuples, Fraction, IntPoly), so two callers handed one object cannot see
+    each other's changes.  The slot is replaced by one assignment, so a
+    concurrent caller sees the old summary or the new one, never half of
+    each.  Exceptions are never held: a failing call raises again.
+    """
+    global _held
     if precision_bits < 0:
         raise ValueError(f"precision must be nonnegative, got {precision_bits}")
+    precision_bits = operator.index(precision_bits)
+    rows, bits, held = _held
+    if rows == a.rows and bits == precision_bits:
+        return held
     chi = char_poly(a)
     if chi.constant == 0:  # chi_A(0) = (-1)^k det A
         raise RankDeficient("spectral analysis needs a matrix of full rank")
@@ -924,7 +952,7 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
 
     # refinement in the steps above only shrank boxes; snapshot them now
     boxes = _boxes_from_ordered(ordered)
-    return SpectralSummary(
+    summary = SpectralSummary(
         char_poly=chi,
         roots=boxes,
         modulus_classes=classes,
@@ -932,6 +960,8 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
         ratio_flags=tuple(flags),
         unity_orders=tuple(orders),
     )
+    _held = (a.rows, precision_bits, summary)
+    return summary
 
 
 def _dominant_pair(boxes, classes) -> tuple[int, int] | None:

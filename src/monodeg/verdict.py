@@ -162,21 +162,19 @@ def _classify_from_summary(summary: SpectralSummary) -> Verdict:
         )
 
     # Hypothesis against any recurrence: the top modulus class is exactly one
-    # simple non-real conjugate pair with non-unity ratio.
+    # simple non-real conjugate pair with non-unity ratio.  The moduli multiply
+    # to |det A| >= 1, so that pair is in ge1 and the loop above flagged it.
     if summary.dominant_pair is not None:
         i, j = summary.dominant_pair
         both_simple = (
             summary.roots[i].multiplicity == 1 and summary.roots[j].multiplicity == 1
         )
-        flag = summary.ratio_flags[i]
-        if both_simple and flag.kind == NOT_ROOT_OF_UNITY:
+        if both_simple and summary.ratio_flags[i].kind == NOT_ROOT_OF_UNITY:
             return Verdict(
                 NO_RECURRENCE_PROVEN,
                 PROP_3_1,
                 {**detail_base, "top_class_versus_one": summary.modulus_classes[0].versus_one},
             )
-        if both_simple and flag.kind not in (ROOT_OF_UNITY, NOT_ROOT_OF_UNITY):
-            h1_unresolved = True
 
     details = dict(detail_base)
     if h1_unresolved:
@@ -190,7 +188,10 @@ def classify_dual(a: IntMatrix, precision_bits: int = 256) -> Verdict:
     """Classification of the codimension k-1 (inverse map) degree sequence.
 
     Requires a unimodular matrix; the result wraps the classification of the
-    inverse with a dimension-specific duality criterion code.
+    inverse with a dimension-specific duality criterion code.  It is read off
+    the forward analysis (``classify_d1``), so right after ``classify_d1(a)``
+    with the same precision it reads the held spectral summary and runs no
+    second analysis.
     """
     d = det(a)
     if d not in (1, -1):

@@ -1,9 +1,12 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 from monodeg.exact import IntMatrix, IntPoly
+from monodeg.spectra import spectral_summary
 
 # 3x3 exponent matrix whose degree sequence provably has no linear recurrence
 # (dominant non-real eigenvalue pair with non-unity ratio); its inverse is the
@@ -25,3 +28,17 @@ def recurrence_poly(rec) -> IntPoly:
     """The monic polynomial of a recurrence whose coefficients are integers."""
     assert all(c.denominator == 1 for c in rec.coefficients)
     return IntPoly(tuple(int(c) for c in rec.coefficients) + (1,))
+
+
+def evict_summary():
+    """Replace the held spectral summary with one of a 1x1 matrix at a
+    refinement cap of 0, which no test draws, so that the next analysis
+    starts cold."""
+    spectral_summary(IntMatrix(((7,),)), 0)
+
+
+@pytest.fixture(autouse=True)
+def cold_summary():
+    """Every test starts with a cold summary slot: a test that counts the
+    work of an analysis must not read one an earlier test left behind."""
+    evict_summary()

@@ -1,11 +1,19 @@
 import dataclasses
+import json
 import random
+import sys
+import threading
 
 import pytest
 
 from monodeg.cells import STABILIZED, UNRESOLVED
 from monodeg.degree import degree_sequence
-from monodeg.errors import NotUnimodular, RankDeficient, WindowTooShort
+from monodeg.errors import (
+    NotUnimodular,
+    RankDeficient,
+    UnresolvedCertification,
+    WindowTooShort,
+)
 from monodeg.exact import IntMatrix, IntPoly, char_poly, det, inverse_unimodular
 from monodeg.recur import Recurrence, find_recurrence
 from monodeg.spectra import EQ, reciprocal_summary, spectral_summary
@@ -21,15 +29,18 @@ from monodeg.verdict import (
     classify_dual,
     cross_check,
 )
-from monodeg.verdict import _classify_from_summary, _power_recurrence
+from monodeg.verdict import _classify_from_summary, _modulus_ge_one_indices, _power_recurrence
 
 from conftest import (
     NO_RECURRENCE_3X3,
     PAIR_2X2,
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
+    evict_summary,
     recurrence_poly,
 )
+from test_spectra_golden import MATRICES
+from test_verdict_golden import GOLDEN_PATH
 from oracles import (
     canonical_cell,
     check_candidate,
@@ -127,6 +138,7 @@ class TestClassifyD1:
         assert classify_d1(a).basis == normally
         unresolved = spectra_mod.RatioFlag(spectra_mod.UNRESOLVED)
         monkeypatch.setattr(spectra_mod, "_attribute_pair", lambda *args: unresolved)
+        evict_summary()  # the patched analysis is another function of the rows
         v = classify_d1(a)
         assert v.classification == UNKNOWN
         assert v.basis is None
@@ -253,6 +265,169 @@ class TestDualFromForwardSpectrum:
                     stretched[::tau] = chi_tau.coeffs
                     expected = Recurrence.from_poly(IntPoly(stretched))
                     assert _power_recurrence(char_poly(a), tau) == expected, (a, tau)
+
+
+class TestDominantPairIsAmongModulusGeOne:
+    # the moduli multiply to |det A| >= 1, so the top class, and with it the
+    # dominant pair, has modulus at least 1
+
+    def test_golden_verdicts(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        checked = 0
+        for entry in golden.values():
+            for key in ("classify_d1", "classify_dual") & entry.keys():
+                details = dict(entry[key]["details"])
+                if details["dominant_pair"] is not None:
+                    assert set(details["dominant_pair"]) <= set(details["modulus_ge_one_indices"])
+                    checked += 1
+        assert checked >= 5
+
+    def test_golden_and_seeded_summaries(self):
+        mats = [IntMatrix(rows) for rows in MATRICES.values()] + _seeded_unimodular(101)
+        pairs = 0
+        for a in mats:
+            summaries = [spectral_summary(a)]
+            if det(a) in (1, -1):
+                summaries.append(reciprocal_summary(summaries[0]))
+            for summary in summaries:
+                if summary.dominant_pair is not None:
+                    assert set(summary.dominant_pair) <= set(_modulus_ge_one_indices(summary)), a
+                    pairs += 1
+        assert pairs >= 10
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """Counter of the spectral analyses that run (char_poly calls inside
+    spectra), from a cold slot."""
+    import monodeg.spectra as spectra_mod
+
+    count = [0]
+
+    def counted(a):
+        count[0] += 1
+        return char_poly(a)
+
+    monkeypatch.setattr(spectra_mod, "char_poly", counted)
+    return count
+
+
+class TestHeldSummary:
+    def test_dual_after_forward_runs_one_analysis(self, analyses):
+        d1 = classify_d1(NO_RECURRENCE_3X3)
+        dual = classify_dual(NO_RECURRENCE_3X3)
+        assert analyses[0] == 1
+        assert (d1.basis, dual.basis) == (PROP_3_1, DUALITY_THM_1_2)
+        assert dual.summary == reciprocal_summary(d1.summary)
+
+    def test_equal_rows_and_spelled_precision_hit(self, analyses):
+        a = TRIBONACCI_COMPANION
+        twin = IntMatrix(tuple(list(row) for row in a.rows))
+        assert twin is not a
+        first = spectral_summary(a)
+        assert spectral_summary(twin) is first
+        assert spectral_summary(a, 256) is first
+        assert spectral_summary(twin, precision_bits=256) is first
+        assert analyses[0] == 1
+
+    def test_other_precision_or_matrix_misses(self, analyses):
+        a, b = NO_RECURRENCE_3X3, PAIR_2X2
+        first = spectral_summary(a)
+        coarse = spectral_summary(a, 128)
+        assert analyses[0] == 2
+        assert spectral_summary(a, 128) is coarse
+        assert analyses[0] == 2
+        spectral_summary(b, 128)
+        assert analyses[0] == 3
+        again = spectral_summary(a)
+        assert analyses[0] == 4
+        assert again == first and again is not first
+
+    def test_singular_raises_every_time(self, analyses):
+        warm = spectral_summary(PAIR_2X2)
+        singular = IntMatrix(((1, 2), (2, 4)))
+        for _ in range(2):
+            with pytest.raises(RankDeficient):
+                spectral_summary(singular)
+        assert analyses[0] == 3
+        assert spectral_summary(PAIR_2X2) is warm  # a failure leaves the slot
+        assert analyses[0] == 3
+
+    def test_unresolved_raises_every_time(self, analyses, monkeypatch):
+        import monodeg.spectra as spectra_mod
+
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps: None)
+        for _ in range(2):
+            with pytest.raises(UnresolvedCertification):
+                spectral_summary(PAIR_2X2)
+        assert analyses[0] == 2
+
+    def test_bad_precision_raises_when_warm(self, analyses):
+        spectral_summary(PAIR_2X2)
+        for bits in (-1, -256):
+            with pytest.raises(ValueError, match="precision must be nonnegative"):
+                spectral_summary(PAIR_2X2, bits)
+        with pytest.raises(TypeError):  # 256.0 == 256, but a float is no cap
+            spectral_summary(PAIR_2X2, 256.0)
+        assert analyses[0] == 1
+
+    def test_warm_answers_equal_cold_answers(self, analyses):
+        def shown(v):
+            return repr(v) + repr(v.summary)
+
+        mats = _seeded_unimodular(103, per_k=3)
+        assert {a.k for a in mats} == {2, 3, 4, 5}
+        for a in mats:
+            evict_summary()
+            before = analyses[0]
+            cold_d1 = classify_d1(a)
+            warm_dual = classify_dual(a)
+            warm_d1 = classify_d1(a)
+            assert analyses[0] == before + 1, a
+            evict_summary()
+            cold_dual = classify_dual(a)
+            assert shown(warm_d1) == shown(cold_d1), a
+            assert shown(warm_dual) == shown(cold_dual), a
+            assert warm_d1.summary is cold_d1.summary
+
+
+def test_concurrent_callers_see_whole_summaries():
+    # a short switch interval, so that callers interleave inside the analysis;
+    # a half-updated slot would hand one caller another matrix's summary
+    rng = random.Random(107)
+    mats = [random_unimodular(rng, k) for k in (3, 4, 4, 5)]
+    calls = [(m, bits) for bits in (128, 256) for m in mats]
+    expected = {}
+    for m, bits in calls:
+        evict_summary()
+        dual = classify_dual(m, bits)
+        expected[m, bits] = (spectral_summary(m, bits), dual, dual.summary)
+    wrong = []
+
+    def worker(seed):
+        order = random.Random(seed).sample(calls, len(calls))
+        try:
+            for m, bits in order * 10:
+                summary = spectral_summary(m, bits)
+                dual = classify_dual(m, bits)
+                if (summary, dual, dual.summary) != expected[m, bits]:
+                    wrong.append((m, bits))
+        except Exception as exc:  # reported by the assertion below
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 class TestCrossCheck:
