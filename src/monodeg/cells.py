@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .degree import FunctionalIndex, _power_cells
-from .errors import RankDeficient
-from .exact import IntMatrix, det
+from .exact import IntMatrix
 from .recur import eventually_periodic
 
 STABILIZED = "STABILIZED"
@@ -78,12 +77,10 @@ def detect_stabilization(reps: Sequence[FunctionalIndex]) -> TraceStatus:
 
 def cell_trace(a: IntMatrix, window: int) -> CellTrace:
     """Degrees and achieving-cell data for A^1 .. A^window plus a tail
-    classification, from the held power walk; one FunctionalIndex is built
-    per distinct cell of the trace."""
+    classification, from the held power walk (RankDeficient for a singular
+    A); one FunctionalIndex is built per distinct cell of the trace."""
     if window < 2:
         raise ValueError("window must be at least 2")
-    if det(a) == 0:
-        raise RankDeficient("cell traces need a matrix of full rank")
     degrees, cells, ties = _power_cells(a, window)
     index = {c: FunctionalIndex(c) for c in set(cells)}
     reps = tuple(map(index.__getitem__, cells))

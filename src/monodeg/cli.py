@@ -21,10 +21,10 @@ from . import cells as cells_mod
 from .cells import CellTrace, cell_trace
 from .degree import degree_sequence
 from .errors import MatrixParseError, MonodegError, UnresolvedCertification
-from .exact import IntMatrix, IntPoly, char_poly
+from .exact import IntMatrix
 from .recur import Recurrence, find_recurrence
 from .spectra import SpectralSummary
-from .verdict import CONSISTENT, Verdict, _dual_from_forward, classify_d1, cross_check
+from .verdict import CONSISTENT, Verdict, _chi_and_dual, classify_d1, cross_check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -218,14 +218,6 @@ def _strict_exit(args, *verdicts: Verdict | None) -> int:
         for v in verdicts
     )
     return EXIT_UNRESOLVED if args.strict and unresolved else EXIT_OK
-
-
-def _chi_and_dual(a: IntMatrix, d1: Verdict) -> tuple[IntPoly, Verdict | None]:
-    """chi_A, read off the forward verdict's spectral summary (computed when
-    there is none), and the dual verdict when A is unimodular, that is when
-    chi_A(0) = (-1)^k det A is +-1."""
-    chi = d1.summary.char_poly if d1.summary is not None else char_poly(a)
-    return chi, _dual_from_forward(d1) if chi.constant in (1, -1) else None
 
 
 def _verdict_line(label: str, classification: str, basis: str | None) -> str:

@@ -141,10 +141,14 @@ def _power_cells(
     replaces the slot.  The slot is replaced by one assignment of an
     immutable tuple, so a concurrent caller sees either the old walk or the
     new one, never half of an update; at worst a concurrent walk is redone.
+    A singular A raises RankDeficient, checked only when the slot is
+    replaced, since a held slot holds rows that passed the check.
     """
     global _walk
     rows, power, results = _walk
     if rows != a.rows:
+        if det(a) == 0:
+            raise RankDeficient("degree sequences and cell traces need a matrix of full rank")
         rows, power, results = a.rows, (), ()
     if len(results) < n:
         cols = tuple(zip(*rows))
@@ -162,12 +166,10 @@ def degree_sequence(a: IntMatrix, n: int) -> DegreeSequence:
     """Degrees of the first n iterates, computed on exact matrix powers.
 
     They come from the held power walk (``_power_cells``), which also yields
-    the cells; a full-rank matrix has no zero power.
+    the cells and rejects a singular A; a full-rank matrix has no zero power.
     """
     if n < 1:
         raise ValueError("sequence length must be at least 1")
-    if det(a) == 0:
-        raise RankDeficient("degree sequences need a matrix of full rank")
     return DegreeSequence(_power_cells(a, n)[0], a, dual=False)
 
 

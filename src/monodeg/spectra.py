@@ -26,10 +26,10 @@ modulus comparisons) is established in exact arithmetic:
 * the one root in a disk centred on the real axis is real, since the disk
   also holds the conjugate of each root it holds (p has real coefficients).
 
-Newton steps, inclusion radii and the layout tests run on dyadic integers (a
-centre (x + iy)/2^bits, a radius 2^-e), and so do the modulus comparison and
-the ratio attribution; Fraction appears only in the public RootBox view,
-reciprocal_summary, and the starts and eps of isolation.
+From the float starts on, everything runs on dyadic integers: a centre
+(x + iy)/2^bits, a radius 2^-e, a tolerance as the least e it needs.
+Fraction appears only where a RootBox is built (_boxes_from_ordered), in
+isolate_roots' eps and in reciprocal_summary, which maps RootBoxes.
 
 The modulus comparison starts from each handle's certified |root|^2 span:
 spans that are pairwise disjoint and clear of 1 decide it on their own.  Only
@@ -90,9 +90,9 @@ ROOT_OF_UNITY = "ROOT_OF_UNITY"
 NOT_ROOT_OF_UNITY = "NOT_ROOT_OF_UNITY"
 UNRESOLVED = "UNRESOLVED"
 
-_ZERO = Fraction(0)
 _DEFAULT_EPS_BITS = 64
 _ABERTH_STEPS = 100
+_ABERTH_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,18 @@ def _round_div(n: int, d: int) -> int:
     """n/d rounded to the nearest integer, ties upward (d > 0)."""
     q, r = divmod(n, d)
     return q + (2 * r >= d)
+
+
+def _float_dyadic(v: float, bits: int) -> int:
+    """v*2^bits rounded to the nearest integer, ties upward."""
+    n, d = v.as_integer_ratio()
+    return _round_div(n << bits, d)
+
+
+def _mpf_dyadic(v, bits: int) -> int:
+    """_float_dyadic of an mpf, (-1)^sign*man*2^exp (man_exp drops the sign)."""
+    sign, man, exp, _ = v._mpf_
+    return _round_div((-man if sign else man) << max(0, exp + bits), 1 << max(0, -exp - bits))
 
 
 def _separation_bits(p: IntPoly) -> int:
@@ -186,17 +198,17 @@ class _Handle:
     the axis, or the upper half-plane representative of a conjugate pair.
 
     The state is integers only: the centre c = (x + iy)/2^bits and the radius
-    2^-e, with e None while the radius certifies nothing.  p and p' are kept
-    scaled to integers, P = 2^(d*bits)*p(c) and D = 2^((d-1)*bits)*p'(c), for
-    the next Newton step.  center() and radius() are the public Fraction view,
-    built on demand (the centre cached until the next shrink).
+    2^-e, with e None while the radius certifies nothing; a start (x, y,
+    is_real) comes at bits, is_real the proposer's own test.  p and p' are
+    kept scaled to integers, P = 2^(d*bits)*p(c) and D = 2^((d-1)*bits)*p'(c),
+    for the next Newton step.
 
     The certified radius is the Newton inclusion radius d*|p(c)|/|p'(c)|:
     p'(c)/p(c) = sum_i 1/(c - root_i) has modulus at most d / min_i |c - root_i|,
     so some root lies within d*|p(c)|/|p'(c)| of c.  A vanishing residual
     means c is the root.
 
-    A real start has imaginary part 0, and Newton steps of a real polynomial
+    A real start has y = 0, and Newton steps of a real polynomial
     from a real point stay real, so a real handle's disk stays centred on the
     axis.  Once _certify_layout has shown the disks (conjugate mirrors
     included) pairwise disjoint, each holds exactly one root; a disk symmetric
@@ -204,13 +216,12 @@ class _Handle:
     """
 
     __slots__ = ("poly", "x", "y", "bits", "e", "pc", "dpc", "is_exact", "is_real",
-                 "multiplicity", "_stuck", "_center")
+                 "multiplicity", "_stuck")
 
-    def __init__(self, poly: IntPoly, start: tuple[Fraction, Fraction], bits: int,
+    def __init__(self, poly: IntPoly, start: tuple[int, int, bool], bits: int,
                  multiplicity: int = 1):
         self.poly = poly
-        self.is_real = start[1] == 0
-        self.x, self.y = (_round_div(v.numerator << bits, v.denominator) for v in start)
+        self.x, self.y, self.is_real = start
         self.bits = bits
         self.e: int | None = None
         self.is_exact = False
@@ -218,20 +229,10 @@ class _Handle:
         self._stuck = 0
         self._update_radius()
 
-    def center(self) -> tuple[Fraction, Fraction]:
-        if self._center is None:
-            den = 1 << self.bits
-            self._center = (Fraction(self.x, den), Fraction(self.y, den))
-        return self._center
-
-    def radius(self) -> Fraction:
-        return Fraction(1, 1 << self.e) if self.e is not None else Fraction(1)
-
     def _update_radius(self) -> None:
         """Evaluate P and D at c (Horner on Gaussian integers, p(c) and p'(c)
         together) and set e to the largest e >= 1 with d^2 |p(c)|^2 <=
         2^-2e |p'(c)|^2, that is d^2 |P|^2 4^e <= |D|^2 4^bits."""
-        self._center = None
         coeffs, x, y, b = self.poly.coeffs, self.x, self.y, self.bits
         d = len(coeffs) - 1
         pr, pi, dr, di = coeffs[-1], 0, 0, 0
@@ -307,14 +308,14 @@ def _disks(h) -> list[tuple[int, int, int, int]]:
     return [(h.x, h.y, h.bits, h.e), (h.x, -h.y, h.bits, h.e)]
 
 
-def _certify_layout(handles: list, eps: Fraction, max_rounds: int) -> bool:
-    """Refine until all radii <= eps, complex boxes clear the real axis, and
-    all disks (including conjugate mirrors) are pairwise disjoint.
+def _certify_layout(handles: list, e_min: int, max_rounds: int) -> bool:
+    """Refine until all radii are at most 2^-e_min, complex boxes clear the
+    real axis, and all disks (including conjugate mirrors) are pairwise
+    disjoint.
 
-    In integers: radius 2^-e <= eps iff e >= e_min, the least such e, and a
-    pair's centre clears its disk, y/2^bits > 2^-e, iff y*2^e > 2^bits.  A
-    handle whose radius certifies nothing (e None) always fails."""
-    e_min = (-(-eps.denominator // eps.numerator) - 1).bit_length()
+    In integers: radius 2^-e <= 2^-e_min iff e >= e_min, and a pair's centre
+    clears its disk, y/2^bits > 2^-e, iff y*2^e > 2^bits.  A handle whose
+    radius certifies nothing (e None) always fails."""
     for _ in range(max_rounds):
         bad: set[int] = set()
         for i, h in enumerate(handles):
@@ -336,19 +337,11 @@ def _certify_layout(handles: list, eps: Fraction, max_rounds: int) -> bool:
     return False
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
-
-
 def _aberth_starts(p: IntPoly):
-    """Starting points from a double-precision Aberth iteration, or None
-    (escalate to mpmath): one real start (imaginary part 0) per approximation
-    within its error estimate of the axis, one upper half-plane start per
-    approximation above the axis by more than that.
+    """Starting points (x, y, is_real) at _ABERTH_BITS from a double-precision
+    Aberth iteration, or None (escalate to mpmath): one real start (y = 0) per
+    approximation within its error estimate of the axis, one upper half-plane
+    start per approximation above the axis by more than that.
 
     Only tried when every coefficient is exact in a double.  The result must
     look clean in floating point: the error estimates (Newton inclusion radius
@@ -395,17 +388,19 @@ def _aberth_starts(p: IntPoly):
         for j in range(i + 1, d):
             if not abs(z[i] - z[j]) > 4 * (err[i] + err[j]):  # also rejects nan
                 return None
-    reals = [(Fraction(zi.real), _ZERO) for zi, e in zip(z, err) if abs(zi.imag) <= e]
-    ups = [(Fraction(zi.real), Fraction(zi.imag)) for zi, e in zip(z, err) if zi.imag > e]
+    b = _ABERTH_BITS
+    reals = [(_float_dyadic(zi.real, b), 0, True) for zi, e in zip(z, err) if abs(zi.imag) <= e]
+    ups = [(_float_dyadic(zi.real, b), _float_dyadic(zi.imag, b), False)
+           for zi, e in zip(z, err) if zi.imag > e]
     if len(reals) + 2 * len(ups) != d:
         return None
     return reals + ups
 
 
-def _complex_starts(p: IntPoly, dps: int):
-    """Starting points from mpmath, or None to retry: one per root on the
-    axis (polyroots sets the imaginary part of near-real roots to 0) and one
-    per root in the upper half-plane."""
+def _complex_starts(p: IntPoly, dps: int, bits: int):
+    """Starting points (x, y, is_real) at bits from mpmath at dps digits, or
+    None to retry: one per root on the axis (polyroots sets the imaginary
+    part of near-real roots to 0) and one per root in the upper half-plane."""
     import mpmath
 
     with mpmath.workdps(dps):
@@ -423,19 +418,18 @@ def _complex_starts(p: IntPoly, dps: int):
             if not (mpmath.isfinite(re) and mpmath.isfinite(im)):
                 return None
             if im >= 0:
-                out.append((_mpf_to_fraction(re), _mpf_to_fraction(im)))
-        if sum(1 if im == 0 else 2 for _, im in out) != p.degree:
+                out.append((_mpf_dyadic(re, bits), _mpf_dyadic(im, bits), im == 0))
+        if sum(1 if is_real else 2 for _, _, is_real in out) != p.degree:
             return None
         return out
 
 
-def _refine_budget(p: IntPoly, eps: Fraction) -> int:
+def _refine_budget(p: IntPoly, e_min: int) -> int:
     """Rounds of halving that suffice to reach the separation bound plus the
-    requested radius: an exact root's radius halves each round, and a Newton
-    step from a start in a simple root's quadratic basin does at least as
-    well."""
-    eps_bits = max(0, eps.denominator.bit_length() - eps.numerator.bit_length())
-    return _separation_bits(p) + eps_bits + 96
+    requested radius 2^-e_min: an exact root's radius halves each round, and
+    a Newton step from a start in a simple root's quadratic basin does at
+    least as well."""
+    return _separation_bits(p) + e_min + 96
 
 
 def _proposals(p: IntPoly):
@@ -449,21 +443,23 @@ def _proposals(p: IntPoly):
     separated onto one start and cost another escalation."""
     starts = _aberth_starts(p)
     if starts is not None:
-        yield starts, 64
+        yield starts, _ABERTH_BITS
     coeff_bits = max(abs(c).bit_length() for c in p.coeffs)
     dps = max(30, coeff_bits // 3 + 15)
     for _ in range(7):
-        starts = _complex_starts(p, dps)
+        bits = math.ceil(dps * math.log2(10)) + 8
+        starts = _complex_starts(p, dps, bits)
         if starts is not None:
-            yield starts, math.ceil(dps * math.log2(10)) + 8
+            yield starts, bits
         dps *= 2
 
 
-def _isolate_handles(p: IntPoly, eps: Fraction, multiplicity: int = 1) -> list:
-    """Certified handles for all roots of a squarefree polynomial."""
+def _isolate_handles(p: IntPoly, e_min: int, multiplicity: int = 1) -> list:
+    """Certified handles, radii at most 2^-e_min, for all roots of a
+    squarefree polynomial."""
     for starts, bits in _proposals(p):
         handles = [_Handle(p, s, bits, multiplicity) for s in starts]
-        if _certify_layout(handles, eps, _refine_budget(p, eps)):
+        if _certify_layout(handles, e_min, _refine_budget(p, e_min)):
             return handles
     raise UnresolvedCertification("root isolation did not converge")
 
@@ -543,22 +539,27 @@ def _order_handles(handles: list) -> list:
     """Deterministic handle order: real roots ascending, then conjugate pairs
     by (re, im) of the upper representative.
 
-    Called once per analysis; later refinement only shrinks boxes around
-    fixed roots, so the order stays meaningful and is never recomputed.
+    Centres compare as integers over the largest 2^bits.  Called once per
+    analysis; later refinement only shrinks boxes around fixed roots, so the
+    order stays meaningful and is never recomputed.
     """
-    return sorted(handles, key=lambda h: (not h.is_real, h.center()))
+    t = max(h.bits for h in handles)
+    return sorted(handles, key=lambda h: (not h.is_real, h.x << (t - h.bits), h.y << (t - h.bits)))
 
 
 def _boxes_from_ordered(ordered: list) -> tuple[RootBox, ...]:
-    """Public boxes in handle order; each pair occupies two slots
-    (upper half-plane root first, conjugate second)."""
+    """Public boxes in handle order, the one place a handle's integers become
+    Fractions; each pair occupies two slots (upper half-plane root first,
+    conjugate second)."""
     boxes: list[RootBox] = []
     for h in ordered:
+        den = 1 << h.bits
+        re, im = Fraction(h.x, den), Fraction(h.y, den)
+        r = Fraction(1, 1 << h.e) if h.e is not None else Fraction(1)
         if h.is_real:
-            boxes.append(RootBox(h.center(), h.radius(), h.multiplicity, True, None))
+            boxes.append(RootBox((re, im), r, h.multiplicity, True, None))
         else:
             i = len(boxes)
-            (re, im), r = h.center(), h.radius()
             boxes.append(RootBox((re, im), r, h.multiplicity, False, i + 1))
             boxes.append(RootBox((re, -im), r, h.multiplicity, False, i))
     return tuple(boxes)
@@ -567,15 +568,15 @@ def _boxes_from_ordered(ordered: list) -> tuple[RootBox, ...]:
 def isolate_roots(p: IntPoly, eps: Fraction) -> list[RootBox]:
     """Disjoint certified boxes, one per root of a squarefree polynomial,
     radii at most eps.  Conjugate pairs are matched; real roots certified."""
-    if not isinstance(eps, Fraction):
-        eps = Fraction(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if p.degree < 1:
         raise ValueError("root isolation needs degree at least 1")
     if not _is_squarefree(p):
         raise ValueError("polynomial must be squarefree (apply squarefree_part)")
-    ordered = _order_handles(_isolate_handles(p, eps))
+    e_min = (-(-eps.denominator // eps.numerator) - 1).bit_length()  # 2^-e_min <= eps
+    ordered = _order_handles(_isolate_handles(p, e_min))
     return list(_boxes_from_ordered(ordered))
 
 
@@ -873,9 +874,8 @@ def _attribute_pair(
     root of unity.  A pair radius below 2^-cap_bits leaves the flag
     UNRESOLVED.
     """
-    eps = Fraction(1, 1 << 32)
     for m in candidate_orders:
-        handles = _isolate_handles(squarefree_part(_root_powers(sf, m))[0], eps)
+        handles = _isolate_handles(squarefree_part(_root_powers(sf, m))[0], 32)
         for _ in range(cap_bits + 64):
             if pair_handle.e is not None:
                 x, y, b, e = disk = _power_disk(pair_handle, m)
@@ -927,11 +927,10 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
     if chi.constant == 0:  # chi_A(0) = (-1)^k det A
         raise RankDeficient("spectral analysis needs a matrix of full rank")
     sf, factors = squarefree_part(chi)
-    eps = Fraction(1, 1 << _DEFAULT_EPS_BITS)
     handles: list = []
     for factor, mult in factors:
-        handles.extend(_isolate_handles(factor, eps, multiplicity=mult))
-    if not _certify_layout(handles, eps, _refine_budget(sf, eps)):
+        handles.extend(_isolate_handles(factor, _DEFAULT_EPS_BITS, multiplicity=mult))
+    if not _certify_layout(handles, _DEFAULT_EPS_BITS, _refine_budget(sf, _DEFAULT_EPS_BITS)):
         raise UnresolvedCertification("cross-factor isolation failed to separate")
     ordered = _order_handles(handles)
     classes = _expand_classes(

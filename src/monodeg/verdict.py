@@ -31,7 +31,7 @@ from . import cells as cells_mod
 from .cells import CellTrace, cell_trace
 from .degree import DegreeSequence
 from .errors import NotUnimodular, UnresolvedCertification, WindowTooShort
-from .exact import IntMatrix, IntPoly, _root_powers, det
+from .exact import IntMatrix, IntPoly, _root_powers, char_poly
 from .recur import Recurrence, find_recurrence, verify_recurrence
 from .spectra import (
     EQ,
@@ -187,30 +187,36 @@ def _classify_from_summary(summary: SpectralSummary) -> Verdict:
 def classify_dual(a: IntMatrix, precision_bits: int = 256) -> Verdict:
     """Classification of the codimension k-1 (inverse map) degree sequence.
 
-    Requires a unimodular matrix; the result wraps the classification of the
-    inverse with a dimension-specific duality criterion code.  It is read off
-    the forward analysis (``classify_d1``), so right after ``classify_d1(a)``
-    with the same precision it reads the held spectral summary and runs no
-    second analysis.
+    Requires a unimodular matrix (NotUnimodular otherwise, RankDeficient
+    from the forward analysis when A is singular); the result wraps the
+    classification of the inverse with a dimension-specific duality
+    criterion code.  It is read off the forward analysis (``classify_d1``),
+    so right after ``classify_d1(a)`` with the same precision it reads the
+    held spectral summary and runs no second analysis.
     """
-    d = det(a)
-    if d not in (1, -1):
-        raise NotUnimodular(f"matrix has determinant {d}, expected +-1")
-    return _dual_from_forward(classify_d1(a, precision_bits))
+    chi, dual = _chi_and_dual(a, classify_d1(a, precision_bits))
+    if dual is None:
+        raise NotUnimodular(f"matrix has determinant {(-1) ** a.k * chi.constant}, expected +-1")
+    return dual
 
 
-def _dual_from_forward(forward: Verdict) -> Verdict:
-    """classify_dual from the forward verdict of a unimodular matrix (an
-    unresolved forward analysis leaves the dual UNKNOWN, same details)."""
+def _chi_and_dual(a: IntMatrix, forward: Verdict) -> tuple[IntPoly, Verdict | None]:
+    """chi_A and, when A is unimodular (chi_A(0) = (-1)^k det A is +-1), the
+    dual verdict from the forward one.  chi_A is read off the forward
+    summary; only an unresolved forward analysis computes it, and it leaves
+    the dual UNKNOWN with the same details."""
+    chi = forward.summary.char_poly if forward.summary is not None else char_poly(a)
+    if chi.constant not in (1, -1):
+        return chi, None
     if forward.summary is None:
-        return Verdict(UNKNOWN, None, dict(forward.details))
+        return chi, Verdict(UNKNOWN, None, dict(forward.details))
     summary = reciprocal_summary(forward.summary)
     inner = replace(_classify_from_summary(summary), summary=summary)
     if inner.is_unknown:
-        return inner
-    k = summary.char_poly.degree
-    wrapper = {3: DUALITY_THM_1_2, 4: DUALITY_THM_1_3}.get(k, DUALITY_GENERIC)
-    return replace(inner, basis=wrapper, details={**inner.details, "inner_basis": inner.basis})
+        return chi, inner
+    wrapper = {3: DUALITY_THM_1_2, 4: DUALITY_THM_1_3}.get(chi.degree, DUALITY_GENERIC)
+    details = {**inner.details, "inner_basis": inner.basis}
+    return chi, replace(inner, basis=wrapper, details=details)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from monodeg.degree import degree_sequence
 from monodeg.exact import IntMatrix, IntPoly
 from monodeg.spectra import spectral_summary
 
@@ -37,8 +38,16 @@ def evict_summary():
     spectral_summary(IntMatrix(((7,),)), 0)
 
 
+def evict_walk():
+    """Replace the held power walk with one of a 1x1 matrix that no test
+    draws, so that the next walk starts cold."""
+    degree_sequence(IntMatrix(((7,),)), 1)
+
+
 @pytest.fixture(autouse=True)
-def cold_summary():
-    """Every test starts with a cold summary slot: a test that counts the
-    work of an analysis must not read one an earlier test left behind."""
+def cold_slots():
+    """Every test starts with a cold summary slot and a cold power walk: a
+    test that counts the work of an analysis or of a walk (its rank check
+    included) must not read a slot an earlier test left behind."""
     evict_summary()
+    evict_walk()

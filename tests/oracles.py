@@ -306,21 +306,24 @@ def _rank_fraction(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def mpf_fraction(x) -> Fraction:
+    """The exact value of an mpf, from its man_exp (man is unsigned) and its
+    sign."""
+    man, exp = x.man_exp
+    v = Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
+    return -v if x < 0 else v
+
+
 def polyroots_oracle(p: IntPoly, dps: int = 100) -> list[tuple[Fraction, Fraction]]:
     """All complex roots of p as exact (re, im) values of dps-digit
     approximations."""
     import mpmath
 
-    def exact(x) -> Fraction:
-        man, exp = x.man_exp  # man is unsigned
-        v = Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
-        return -v if x < 0 else v
-
     with mpmath.workdps(dps):
         roots = mpmath.polyroots(
             [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=4 * dps
         )
-        return [(exact(mpmath.re(z)), exact(mpmath.im(z))) for z in roots]
+        return [(mpf_fraction(mpmath.re(z)), mpf_fraction(mpmath.im(z))) for z in roots]
 
 
 def random_matrix(rng: random.Random, k: int, lo: int, hi: int) -> IntMatrix:
@@ -356,6 +359,22 @@ def _dyadic(x: Fraction, bits: int) -> Fraction:
     """Round to the nearest multiple of 2^-bits, ties upward."""
     q, r = divmod(x.numerator << bits, x.denominator)
     return Fraction(q + (2 * r >= x.denominator), 1 << bits)
+
+
+def fraction_start(start: tuple[Fraction, Fraction], bits: int) -> tuple[int, int, bool]:
+    """The handle start (x, y, is_real) at bits of a Gaussian rational start:
+    each part rounded to a multiple of 2^-bits (ties upward), real when the
+    imaginary part is 0 before rounding."""
+    x, y = (int(_dyadic(v, bits) * (1 << bits)) for v in start)
+    return x, y, start[1] == 0
+
+
+def handle_view(h) -> tuple[tuple[Fraction, Fraction], Fraction]:
+    """A spectra._Handle's centre and radius as Fractions, read off its
+    integers (radius 1 while it certifies nothing, as FractionHandle)."""
+    den = 1 << h.bits
+    r = Fraction(1, 1 << h.e) if h.e is not None else Fraction(1)
+    return (Fraction(h.x, den), Fraction(h.y, den)), r
 
 
 def eval_gaussian(p: IntPoly, z: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
@@ -450,7 +469,7 @@ def _sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 def modsq_interval_oracle(handle, sqrt_bits: int) -> tuple[Fraction, Fraction]:
     """(|c| - r)^2 and (|c| + r)^2 in Fractions, |c| bracketed by
     _sqrt_bounds off the axis."""
-    (re, im), r = handle.center(), handle.radius()
+    (re, im), r = handle_view(handle)
     m2 = re * re + im * im
     if handle.is_exact:
         return m2, m2

@@ -25,6 +25,7 @@ from conftest import (
     NO_RECURRENCE_INVERSE,
     QUARTER_ROTATION,
     TRIBONACCI_COMPANION,
+    evict_walk,
 )
 from oracles import achieving_cells, homogenization_degree, mat_pow, random_rank_matrix
 
@@ -123,12 +124,6 @@ class TestCellTrace:
             assert degree_sequence(a, 60).terms == trace.degrees
 
 
-def evict_walk():
-    """Replace the held power walk with one of a 1x1 matrix that no test
-    draws, so that the next walk starts cold."""
-    degree_sequence(IntMatrix(((7,),)), 1)
-
-
 @pytest.fixture
 def walk_products(monkeypatch):
     """Counter of the power products the held walk makes, from a cold slot.
@@ -141,6 +136,19 @@ def walk_products(monkeypatch):
         return _product_rows(rows, cols)
 
     monkeypatch.setattr(degree_module, "_product_rows", counted)
+    return count
+
+
+@pytest.fixture
+def rank_checks(monkeypatch):
+    """Counter of the full-rank checks (det calls) the held walk makes."""
+    count = [0]
+
+    def counted(a):
+        count[0] += 1
+        return det(a)
+
+    monkeypatch.setattr(degree_module, "det", counted)
     return count
 
 
@@ -200,13 +208,38 @@ class TestHeldWalk:
         assert degree_sequence(NO_RECURRENCE_3X3, 30) == forward
         assert walk_products[0] == 3 * 29
 
-    def test_analyze_doubled_window_extends_the_walk(self, walk_products):
+    def test_analyze_doubled_window_extends_the_walk(self, walk_products, rank_checks):
         # the one matrix of the benchmark's analyze pool whose cross check
         # retries on the doubled window (108 -> 216 powers): a cold walk of
-        # 108 makes 107 products, and its extension to 216 makes 108 more
+        # 108 makes 107 products, and its extension to 216 makes 108 more;
+        # the extension runs no second rank check
         buf = io.StringIO()
         assert run(["analyze", "-m", "[[-1,-3,-2],[-2,-2,2],[-2,-1,3]]"], out=buf) == EXIT_OK
         assert walk_products[0] == 215
+        assert rank_checks[0] == 1
+
+    def test_one_rank_check_per_walk(self, walk_products, rank_checks):
+        # degrees and cells of one matrix, as a power-stream op asks for
+        # them, then a longer window: the check runs when the slot is replaced
+        a = random_rank_matrix(random.Random(47), 4, -3, 3)
+        degree_sequence(a, 60)
+        cell_trace(a, 60)
+        cell_trace(a, 120)
+        assert rank_checks[0] == 1
+        degree_sequence(TRIBONACCI_COMPANION, 10)
+        assert rank_checks[0] == 2
+
+    def test_singular_matrix_raises_every_time_and_leaves_the_walk(
+        self, walk_products, rank_checks
+    ):
+        a = random_rank_matrix(random.Random(48), 3, -3, 3)
+        held = cell_trace(a, 40)
+        singular = IntMatrix(((1, 2), (2, 4)))
+        for call in (lambda: degree_sequence(singular, 5), lambda: cell_trace(singular, 5)):
+            with pytest.raises(RankDeficient):
+                call()
+        assert cell_trace(a, 40) == held
+        assert (walk_products[0], rank_checks[0]) == (39, 3)
 
 
 def test_concurrent_callers_see_whole_walks():

@@ -232,7 +232,7 @@ class TestAnalyzeCommand:
 
     def test_one_char_poly_and_det(self, monkeypatch):
         # the report's char_poly is the spectral summary's, its det is
-        # (-1)^k chi_A(0); the one det call is the cell trace's rank check
+        # (-1)^k chi_A(0); the one det call is the power walk's rank check
         counts = count_calls(monkeypatch, "char_poly", "det")
         code, out = run_cli(["analyze", "-m", FORWARD, "--format", "json"])
         assert code == EXIT_OK
@@ -329,7 +329,7 @@ class TestStrictMode:
         import monodeg.spectra as spectra_mod
 
         monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
         code, out = run_cli(["verdict", "-m", "[[1,-2],[1,1]]", "--strict"])
         assert code == 4
         assert "UNKNOWN" in out

@@ -6,6 +6,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +36,12 @@ from conftest import NO_RECURRENCE_3X3, PAIR_2X2, QUARTER_ROTATION
 from oracles import (
     FractionHandle,
     eval_gaussian,
+    fraction_start,
+    handle_view,
     modsq_interval_oracle,
     modulus_classes_oracle,
     modulus_ranking_oracle,
+    mpf_fraction,
     polyroots_oracle,
     poly_pow,
     random_rank_matrix,
@@ -214,6 +218,12 @@ def _handle_cases():
     return cases
 
 
+def _handle(p, start, bits):
+    """A handle from a Gaussian rational start, rounded as FractionHandle
+    rounds it."""
+    return spectra._Handle(p, fraction_start(start, bits), bits)
+
+
 def _dyadic_disk(rng):
     bits, e = rng.randint(0, 12), rng.randint(0, 12)
     return (rng.randint(-1 << 10, 1 << 10), rng.randint(-1 << 10, 1 << 10), bits, e)
@@ -231,32 +241,31 @@ class TestIntegerHandle:
     @pytest.mark.parametrize("case", _handle_cases(), ids=lambda c: f"{c[0].coeffs}@{c[2]}")
     def test_matches_fraction_oracle(self, case):
         p, start, bits = case
-        h, ref = spectra._Handle(p, start, bits), FractionHandle(p, start, bits)
+        h, ref = _handle(p, start, bits), FractionHandle(p, start, bits)
         for step in range(13):
             if step:
                 h.shrink()
                 ref.shrink()
-            assert h.center() == ref.center()
-            assert h.radius() == ref.radius()
+            assert handle_view(h) == (ref.center(), ref.radius())
             assert (h.is_exact, h.stuck, h._stuck) == (ref.is_exact, ref.stuck, ref._stuck)
 
     def test_named_paths_are_reached(self):
         exact, nudge, cap, tie, boundary = _handle_cases()[:5]
-        h = spectra._Handle(*exact)
-        assert h.is_exact and h.center() == (1, 0)
-        h = spectra._Handle(*nudge)
+        h = _handle(*exact)
+        assert h.is_exact and handle_view(h)[0] == (1, 0)
+        h = _handle(*nudge)
         assert h.dpc == (0, 0)
         h.shrink()
         assert h.x == 1 and h.bits == 16
-        h = spectra._Handle(*cap)
+        h = _handle(*cap)
         h.shrink()
         assert h.bits == cap[2] + (1 << 14)
-        assert spectra._Handle(*tie).center() == (Fraction(-1, 4), Fraction(3, 4))
-        assert spectra._Handle(*boundary).radius() == Fraction(1, 8)
+        assert handle_view(_handle(*tie))[0] == (Fraction(-1, 4), Fraction(3, 4))
+        assert handle_view(_handle(*boundary))[1] == Fraction(1, 8)
 
     def test_modulus_interval_matches_fraction_formula(self):
         for p, start, bits in _handle_cases():
-            h = spectra._Handle(p, start, bits)
+            h = _handle(p, start, bits)
             for _ in range(5):
                 for sqrt_bits in (32, 40 + (h.e or 0)):
                     lo, hi, s = spectra._modsq_interval(h, sqrt_bits)
@@ -267,12 +276,12 @@ class TestIntegerHandle:
     def test_boundaries_are_not_certified(self):
         # a pair's centre exactly one radius above the axis, and a real
         # centre exactly one radius from 0, are not yet separated
-        h = spectra._Handle(IntPoly((1, 0, 1)), (Fraction(1, 4), Fraction(1)), 8)
+        h = spectra._Handle(IntPoly((1, 0, 1)), (64, 256, False), 8)
         h.x, h.y, h.bits, h.e = 0, 1, 8, 8
-        assert not spectra._certify_layout([h], Fraction(1, 16), 1)
+        assert not spectra._certify_layout([h], 4, 1)  # radii at most 2^-4
         h.x, h.y, h.bits, h.e = 0, 2, 8, 8
-        assert spectra._certify_layout([h], Fraction(1, 16), 1)
-        h = spectra._Handle(IntPoly((-2, 0, 1)), (Fraction(1), Fraction(0)), 8)
+        assert spectra._certify_layout([h], 4, 1)
+        h = spectra._Handle(IntPoly((-2, 0, 1)), (256, 0, True), 8)
         h.x, h.bits, h.e = 1, 8, 8
         with pytest.raises(UnresolvedCertification):
             spectra._pin_real_signs([h], 1)
@@ -283,10 +292,10 @@ class TestIntegerHandle:
     CLOSE_ROOTS = IntPoly((2**20 + 1, -(2**21 + 1), 2**20))
 
     def _layout(self, starts):
-        p, eps = self.CLOSE_ROOTS, Fraction(1, 16)
-        handles = [spectra._Handle(p, (s, Fraction(0)), 64) for s in starts]
+        p, e_min = self.CLOSE_ROOTS, 4  # radii at most 1/16
+        handles = [_handle(p, (s, Fraction(0)), 64) for s in starts]
         assert not spectra._disjoint(*(spectra._disks(h)[0] for h in handles))
-        return handles, spectra._certify_layout(handles, eps, spectra._refine_budget(p, eps))
+        return handles, spectra._certify_layout(handles, e_min, spectra._refine_budget(p, e_min))
 
     def test_overlapping_disks_refine_apart(self):
         # starts on either side of the midpoint 1 + 2^-21 end one per root
@@ -295,7 +304,8 @@ class TestIntegerHandle:
         assert certified
         assert spectra._disjoint(*(spectra._disks(h)[0] for h in handles))
         for h, root in zip(handles, (1, 1 + Fraction(1, 1 << 20))):
-            assert abs(h.center()[0] - root) <= h.radius()
+            (re, _), r = handle_view(h)
+            assert abs(re - root) <= r
 
     def test_starts_on_one_root_do_not_certify(self):
         # both starts converge (linearly) to the root 1, so the disks never
@@ -327,9 +337,9 @@ class TestProposers:
         calls = []
         mp_starts = spectra._complex_starts
 
-        def spy(p, dps):
+        def spy(p, dps, bits):
             calls.append(dps)
-            return mp_starts(p, dps)
+            return mp_starts(p, dps, bits)
 
         monkeypatch.setattr(spectra, "_complex_starts", spy)
         for p in (IntPoly((2**60 + 1, 1, 1)), IntPoly((1, 2**53, 0, 1))):
@@ -374,9 +384,9 @@ class TestProposers:
         calls = []
         mp_starts = spectra._complex_starts
 
-        def spy(p, dps):
+        def spy(p, dps, bits):
             calls.append(dps)
-            return mp_starts(p, dps)
+            return mp_starts(p, dps, bits)
 
         monkeypatch.setattr(spectra, "_complex_starts", spy)
         a = 10**9
@@ -392,7 +402,7 @@ class TestProposers:
 
     def test_no_proposer_is_unresolved(self, monkeypatch):
         monkeypatch.setattr(spectra, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra, "_complex_starts", lambda p, dps: None)
+        monkeypatch.setattr(spectra, "_complex_starts", lambda p, dps, bits: None)
         # with no float starts even an all-real polynomial stays unresolved
         for p in (IntPoly((1, 0, 1)), IntPoly((6, -5, 1))):
             with pytest.raises(UnresolvedCertification):
@@ -413,6 +423,138 @@ class TestProposers:
         assert out.stdout.split() == ["RECURRENCE_PROVEN", "False"]
 
 
+class TestDyadicStarts:
+    """The proposers round each approximation once, to integers at their own
+    precision; that must be the rounding of the approximation's exact
+    Fraction (oracles.fraction_start), ties upward."""
+
+    def test_floats_round_as_their_fractions(self):
+        rng = random.Random(1801)
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.5, -0.5]
+        for _ in range(200):  # exact half-unit ties at 64 bits, both signs
+            tie = (2 * rng.randint(0, 1 << 40) + 1) * 2.0**-65
+            values += [tie, -tie]
+        for _ in range(200):  # subnormals
+            values.append(rng.uniform(-1, 1) * 2.0**-1022)
+        for _ in range(2000):
+            values.append(rng.uniform(-1, 1) * 2.0 ** rng.randint(-200, 200))
+        for v in values:
+            want = fraction_start((Fraction(v), Fraction(0)), 64)[0]
+            assert spectra._float_dyadic(v, 64) == want, v
+
+    @pytest.mark.parametrize("dps", [30, 60, 120, 240, 480])
+    def test_mpfs_round_as_their_fractions(self, dps):
+        import mpmath
+
+        bits = math.ceil(dps * math.log2(10)) + 8  # the escalation's start precision
+        rng = random.Random(dps)
+        with mpmath.workdps(dps):
+            prec = mpmath.mp.prec
+            values = [mpmath.mpf(0)]
+            for _ in range(300):
+                man = rng.randint(-(1 << prec), 1 << prec)
+                values.append(mpmath.ldexp(mpmath.mpf(man), rng.randint(-3 * bits, bits)))
+            for _ in range(50):  # exact half-unit ties at bits, both signs
+                tie = mpmath.ldexp(mpmath.mpf(2 * rng.randint(0, 1 << 40) + 1), -bits - 1)
+                values += [tie, -tie]
+            for v in values:
+                want = fraction_start((mpf_fraction(v), Fraction(0)), bits)[0]
+                assert spectra._mpf_dyadic(v, bits) == want, v
+
+    def test_mpmath_starts_keep_the_exact_realness_test(self):
+        # is_real is polyroots' own verdict, an imaginary part exactly 0, and
+        # never a y that rounds to 0
+        import mpmath
+
+        a = 10**9
+        for p in (IntPoly((2**60 + 1, 1, 1)), IntPoly((1, 2**53, 0, 1)),
+                  IntPoly((-2, 4 * a, -2 * a * a, 0, 0, 1))):
+            for dps in (35, 70):
+                bits = math.ceil(dps * math.log2(10)) + 8
+                with mpmath.workdps(dps):
+                    roots = mpmath.polyroots(
+                        [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=500, extraprec=2 * dps
+                    )
+                    parts = [(mpf_fraction(mpmath.re(z)), mpf_fraction(mpmath.im(z))) for z in roots]
+                want = [fraction_start(z, bits) for z in parts if z[1] >= 0]
+                assert spectra._complex_starts(p, dps, bits) == want
+
+    def test_tiny_imaginary_part_stays_a_pair(self, monkeypatch):
+        # an approximation 2^-400 above the axis rounds to y = 0 at 108 bits
+        # and is still the start of a pair
+        import mpmath
+
+        tiny = mpmath.ldexp(mpmath.mpf(1), -400)
+        monkeypatch.setattr(mpmath, "polyroots", lambda *args, **kw: [
+            mpmath.mpc(1, tiny), mpmath.mpc(1, -tiny)
+        ])
+        assert spectra._complex_starts(IntPoly((2, -2, 1)), 30, 108) == [(1 << 108, 0, False)]
+
+    def test_integer_order_is_the_fraction_order(self):
+        # mixed precisions, shared real parts, equal centres at different bits
+        rng = random.Random(1802)
+        for _ in range(400):
+            shared = [Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 6)) for _ in range(3)]
+            handles = []
+            for _ in range(rng.randint(1, 9)):
+                bits = rng.choice((64, 140, 333))
+                if rng.random() < 0.7:
+                    re = rng.choice(shared)
+                else:
+                    re = Fraction(rng.randint(-(1 << 80), 1 << 80), 1 << rng.randint(0, 90))
+                is_real = rng.random() < 0.4
+                im = 0 if is_real else Fraction(rng.randint(1, 1 << 40), 1 << rng.randint(0, 50))
+                x, y, _ = fraction_start((re, Fraction(im)), bits)
+                handles.append(SimpleNamespace(x=x, y=y, bits=bits, is_real=is_real))
+            want = sorted(handles, key=lambda h: (
+                not h.is_real, Fraction(h.x, 1 << h.bits), Fraction(h.y, 1 << h.bits)
+            ))
+            assert list(map(id, spectra._order_handles(handles))) == list(map(id, want))
+
+
+# Boxes of three summaries whose starts come from mpmath (coefficients of
+# chi_A beyond 2^53), each (re, im, radius, multiplicity, is_real, partner).
+_MPMATH_SEEDED_BOXES = {
+    ((10**9, 1, 0), (1, 10**9, 1), (0, 1, -(10**9))): [
+        ("-10633823966279326988547368465382420099615228241/10633823966279326983230456482242756608",
+         "0", "1/21267647932558653966460912964485513216", 1, True, None),
+        ("10633823955645503019609585491579052868403544417/10633823966279326983230456482242756608",
+         "0", "1/42535295865117307932921825928971026432", 1, True, None),
+        ("664613998557071934510514966002882739950730239/664613997892457936451903530140172288",
+         "0", "1/10633823966279326983230456482242756608", 1, True, None),
+    ],
+    ((10**9, -1, 0), (1, 10**9, 0), (0, 0, -(10**9))): [
+        ("-1000000000", "0", "1/365375409332725729550921208179070754913983135744", 1, True, None),
+        ("1000000000", "1", "1/365375409332725729550921208179070754913983135744", 1, False, 2),
+        ("1000000000", "-1", "1/365375409332725729550921208179070754913983135744", 1, False, 1),
+    ],
+    ((0, 1, 0), (0, 0, 1), (10**18, 0, 0)): [
+        ("1000000", "0", "1/42535295865117307932921825928971026432", 1, True, None),
+        ("-500000", "1097817622920238380819884895107772489/1267650600228229401496703205376",
+         "1/1267650600228229401496703205376", 1, False, 2),
+        ("-500000", "-1097817622920238380819884895107772489/1267650600228229401496703205376",
+         "1/1267650600228229401496703205376", 1, False, 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("rows", sorted(_MPMATH_SEEDED_BOXES))
+def test_mpmath_seeded_summary_boxes(monkeypatch, rows):
+    calls = []
+    mp_starts = spectra._complex_starts
+
+    def spy(p, dps, bits):
+        calls.append(dps)
+        return mp_starts(p, dps, bits)
+
+    monkeypatch.setattr(spectra, "_complex_starts", spy)
+    boxes = spectral_summary(IntMatrix(rows)).roots
+    assert calls
+    got = [(str(b.center[0]), str(b.center[1]), str(b.radius), b.multiplicity, b.is_real,
+            b.conjugate_partner) for b in boxes]
+    assert got == _MPMATH_SEEDED_BOXES[rows]
+
+
 @dataclass(frozen=True)
 class ModulusClassification:
     roots: tuple[RootBox, ...]
@@ -420,9 +562,7 @@ class ModulusClassification:
 
 
 def _ordered_handles(p):
-    return spectra._order_handles(
-        spectra._isolate_handles(p, Fraction(1, 1 << spectra._DEFAULT_EPS_BITS))
-    )
+    return spectra._order_handles(spectra._isolate_handles(p, spectra._DEFAULT_EPS_BITS))
 
 
 def modulus_classes(p: IntPoly, cap_bits: int = 256) -> ModulusClassification:
@@ -690,7 +830,7 @@ class TestProductPolynomialOnDemand:
     ])
     def test_coarse_spans_build_it(self, monkeypatch, p, starts, expected):
         def coarse():  # real handles at 8 bits: spans as wide as the Newton radius
-            return [spectra._Handle(p, (Fraction(x), Fraction(0)), 8) for x in starts]
+            return [spectra._Handle(p, (x << 8, 0, True), 8) for x in starts]
 
         own = [spectra._modsq_interval(h, 32) for h in coarse()]
         assert any(lo <= 1 << s <= hi for lo, hi, s in own) or any(
@@ -956,14 +1096,15 @@ class TestPairAttribution:
                 disk = spectra._disks(coarse)[0]
                 return coarse.e is not None and all(spectra._disjoint(disk, d) for d in others)
 
+            centre = handle_view(h)[0]
             for bits in range(3, 9):
-                coarse = spectra._Handle(sf, h.center(), bits)
+                coarse = _handle(sf, centre, bits)
                 if coarse.is_real or not holds_lambda_alone(coarse):
                     continue
                 negative += any(spectra._power_disk(coarse, m)[3] < 0 for m in candidates)
                 flag = spectra._attribute_pair(coarse, sf, candidates, 256)
                 assert holds_lambda_alone(coarse)
-                assert (flag.kind, flag.order) == _expected_flag(factors, h.center())
+                assert (flag.kind, flag.order) == _expected_flag(factors, centre)
                 tried += 1
         assert tried >= 4
         if name != "exact Gaussian pair 1 +- i":
@@ -986,10 +1127,11 @@ class TestPairAttribution:
                 if h.is_real:
                     continue
                 for bits in range(3, 9):
-                    coarse = spectra._Handle(sf, h.center(), bits)
+                    coarse = _handle(sf, handle_view(h)[0], bits)
                     if coarse.e is None or coarse.is_real:
                         continue
-                    c, r = mpc(*coarse.center()), coarse.radius()
+                    (re, im), r = handle_view(coarse)
+                    c = mpc(re, im)
                     lam = min((mpc(*z) for z in roots), key=lambda z: abs(z - c))
                     if abs(lam - c) > mpmath.mpf(r.numerator) / r.denominator:
                         continue  # the coarse disk holds another root

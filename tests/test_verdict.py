@@ -39,6 +39,7 @@ from conftest import (
     evict_summary,
     recurrence_poly,
 )
+from test_cli import count_calls
 from test_spectra_golden import MATRICES
 from test_verdict_golden import GOLDEN_PATH
 from oracles import (
@@ -121,7 +122,7 @@ class TestClassifyD1:
         import monodeg.spectra as spectra_mod
 
         monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
         v = classify_d1(PAIR_2X2)
         assert v.classification == UNKNOWN
         assert "did not converge" in v.details["unresolved"]
@@ -161,8 +162,34 @@ class TestClassifyDual:
         assert v.details["inner_basis"] == PROP_3_1
 
     def test_not_unimodular(self):
-        with pytest.raises(NotUnimodular):
+        with pytest.raises(NotUnimodular, match="determinant 6,"):
             classify_dual(IntMatrix(((2, 0), (0, 3))))
+
+    def test_singular_raises_from_the_analysis(self):
+        with pytest.raises(RankDeficient):
+            classify_dual(IntMatrix(((1, 2), (2, 4))))
+
+    def test_unimodularity_is_read_off_the_forward_summary(self, monkeypatch):
+        # chi_A(0) = (-1)^k det A of the forward summary decides it: no det,
+        # and no char_poly beyond the analysis' own
+        counts = count_calls(monkeypatch, "det", "char_poly")
+        assert classify_dual(NO_RECURRENCE_3X3).basis == DUALITY_THM_1_2
+        with pytest.raises(NotUnimodular, match="determinant 6,"):
+            classify_dual(IntMatrix(((2, 0), (0, 3))))
+        assert counts == {"det": 0, "char_poly": 2}
+
+    def test_unresolved_forward_analysis_still_checks_unimodularity(self, monkeypatch):
+        # no summary to read chi_A off: it is computed, and a matrix that is
+        # not unimodular still raises; a unimodular one gets an UNKNOWN dual
+        import monodeg.spectra as spectra_mod
+
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
+        assert classify_d1(PAIR_2X2).summary is None
+        with pytest.raises(NotUnimodular, match="determinant 3,"):
+            classify_dual(PAIR_2X2)
+        dual = classify_dual(NO_RECURRENCE_3X3)
+        assert dual.classification == UNKNOWN and "did not converge" in dual.details["unresolved"]
 
     def test_dichotomy_on_unimodular_3x3(self):
         rng = random.Random(71)
@@ -357,7 +384,7 @@ class TestHeldSummary:
         import monodeg.spectra as spectra_mod
 
         monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps: None)
+        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
         for _ in range(2):
             with pytest.raises(UnresolvedCertification):
                 spectral_summary(PAIR_2X2)
