@@ -10,8 +10,10 @@ of A.
 
 Values are immutable and operations are pure functions, so the module is safe
 for concurrent use.  The only shared state is the cyclotomic cache, whose
-fills are idempotent.  Matrix powers are walked one product at a time in
-:mod:`monodeg.degree` (from ``_product_rows``).
+fills are idempotent.  Matrix powers are walked in :mod:`monodeg.degree`,
+one call per power of the multiplier ``_multiplier`` compiles for the
+matrix; ``_product_rows`` is the general product, for Le Verrier's few
+powers and as the tests' reference.
 
 Conventions
 -----------
@@ -26,7 +28,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, NotUnimodular
 
@@ -331,33 +333,25 @@ def cyclotomic(m: int) -> IntPoly:
     return num
 
 
-def euler_phi(m: int) -> int:
-    if m <= 0:
-        raise ValueError("totient of a nonpositive integer")
-    result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 @functools.cache
 def orders_with_phi_at_most(bound: int) -> tuple[int, ...]:
-    """All m with euler_phi(m) <= bound, ascending; computed once per bound.
+    """All m with phi(m) <= bound (Euler's totient), ascending; computed once
+    per bound.
 
-    phi(m) >= sqrt(m/2), so m <= 2*bound^2 is a safe enumeration cap.
+    phi(m) >= sqrt(m/2), so m <= 2*bound^2 is a safe enumeration cap.  One
+    sieve gives every phi(m) up to the cap: phi(m) = m * prod (1 - 1/p) over
+    the primes p dividing m, and a prime p is an index the sieve has not
+    reduced by the time it is reached.
     """
     if bound < 1:
         return ()
     cap = 2 * bound * bound
-    return tuple(m for m in range(1, cap + 1) if euler_phi(m) <= bound)
+    phi = list(range(cap + 1))
+    for p in range(2, cap + 1):
+        if phi[p] == p:
+            for m in range(p, cap + 1, p):
+                phi[m] -= phi[m] // p
+    return tuple(m for m in range(1, cap + 1) if phi[m] <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +394,47 @@ def _product_rows(rows: Rows, cols: Rows) -> Rows:
     """Rows of the product of a matrix given by ``rows`` and one given by
     its ``cols``."""
     return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in rows)
+
+
+def _multiplier(rows: Rows) -> Callable[[Rows], Rows]:
+    """The function ``step(X)`` that maps the rows of a k x k matrix X to
+    the rows of X*A, for the A with these ``rows``.
+
+    Its body is straight-line code compiled once for A: entry (i, l) is the
+    sum over j of x_ij * a_jl, with the terms of a_jl = 0 dropped and
+    a_jl = +-1 written as a plain addition or subtraction.  Every other
+    coefficient is a default argument of ``step``.  No matrix entry is
+    written into the source text, which holds generated names only and so
+    depends on k and on which entries are 0, +-1 or other: no data reaches
+    ``exec``, and an entry too long for ``str`` (Python's int-to-str digit
+    limit) compiles like any other.
+    """
+    k = len(rows)
+    xs = [[f"x{i}_{j}" for j in range(k)] for i in range(k)]
+    namespace = {f"a{j}_{l}": a for j, row in enumerate(rows) for l, a in enumerate(row)
+                 if a not in (0, 1, -1)}
+
+    def entry(x: list[str], l: int) -> str:
+        terms = []
+        for j, row in enumerate(rows):
+            if row[l] == 1:
+                terms.append(f"+ {x[j]}")
+            elif row[l] == -1:
+                terms.append(f"- {x[j]}")
+            elif row[l]:
+                terms.append(f"+ {x[j]} * a{j}_{l}")
+        return " ".join(terms).removeprefix("+ ") or "0"
+
+    def tuple_of(items) -> str:
+        return "(" + ", ".join(items) + ",)"
+
+    source = (
+        f"def step(X, {', '.join(f'{name}={name}' for name in namespace)}):\n"
+        f"    {', '.join(tuple_of(x) for x in xs)}, = X\n"
+        f"    return {tuple_of(tuple_of(entry(x, l) for l in range(k)) for x in xs)}\n"
+    )
+    exec(compile(source, "<multiplier>", "exec"), namespace)
+    return namespace["step"]
 
 
 def det(a: IntMatrix) -> int:

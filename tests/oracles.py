@@ -5,7 +5,9 @@ These deliberately avoid the production code paths they check:
 * homogenization_degree clears the map's homogeneous coordinates by exponent
   bookkeeping instead of using the closed degree formula;
 * mat_mul sums each entry index by index and mat_pow squares, instead of the
-  package's one power walk over row-column products;
+  package's one power walk with a multiplier compiled for the matrix;
+* euler_phi factors m by trial division instead of reading phi off one
+  totient sieve;
 * achieving_cells materialises every functional attaining the degree as a
   product of per-max argmax sets, and canonical_cell takes its least
   member, instead of the package's one pass over the maxima;
@@ -65,6 +67,24 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             for i in range(k)
         )
     )
+
+
+def euler_phi(m: int) -> int:
+    """Euler's totient of m >= 1, by trial division."""
+    if m <= 0:
+        raise ValueError("totient of a nonpositive integer")
+    result = m
+    n = m
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
 
 
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:

@@ -18,7 +18,7 @@ from monodeg.degree import (
     functional_value,
 )
 from monodeg.errors import RankDeficient
-from monodeg.exact import IntMatrix, _product_rows, det
+from monodeg.exact import IntMatrix, _multiplier, det
 
 from conftest import (
     NO_RECURRENCE_3X3,
@@ -126,16 +126,24 @@ class TestCellTrace:
 
 @pytest.fixture
 def walk_products(monkeypatch):
-    """Counter of the power products the held walk makes, from a cold slot.
-    Products made elsewhere (the powers behind char_poly) are not counted."""
+    """Counters of the held walk's work from a cold slot: [0] counts the
+    power products (calls of the compiled multiplier), [1] the multipliers
+    compiled.  Products made elsewhere (the powers behind char_poly) are not
+    counted."""
     evict_walk()
-    count = [0]
+    count = [0, 0]
 
-    def counted(rows, cols):
-        count[0] += 1
-        return _product_rows(rows, cols)
+    def counted_multiplier(rows):
+        count[1] += 1
+        step = _multiplier(rows)
 
-    monkeypatch.setattr(degree_module, "_product_rows", counted)
+        def counted_step(power):
+            count[0] += 1
+            return step(power)
+
+        return counted_step
+
+    monkeypatch.setattr(degree_module, "_multiplier", counted_multiplier)
     return count
 
 
@@ -186,7 +194,7 @@ class TestHeldWalk:
         first = cell_trace(a, 40)
         other = degree_sequence(b, 40)
         again = cell_trace(a, 40)
-        assert walk_products[0] == 3 * 39
+        assert walk_products == [3 * 39, 3]
         assert again == first
         assert other.terms == tuple(degree(mat_pow(b, n)) for n in range(1, 41))
 
@@ -197,6 +205,20 @@ class TestHeldWalk:
         assert twin is not a
         assert cell_trace(twin, 50) == first
         assert walk_products[0] == 49
+
+    def test_one_compile_per_slot_replacement(self, walk_products):
+        rng = random.Random(49)
+        a, b = random_rank_matrix(rng, 4, -3, 3), random_rank_matrix(rng, 3, -3, 3)
+        cell_trace(a, 30)
+        assert walk_products == [29, 1]
+        degree_sequence(a, 60)  # extension
+        degree_sequence(a, 10)  # prefix read
+        assert walk_products == [59, 1]
+        evict_walk()  # a one-power walk makes no product and compiles nothing
+        assert walk_products == [59, 1]
+        cell_trace(b, 20)
+        cell_trace(a, 20)
+        assert walk_products == [59 + 19 + 19, 3]
 
     def test_dual_sequence_walks_the_inverse(self, walk_products):
         forward = degree_sequence(NO_RECURRENCE_3X3, 30)
@@ -212,10 +234,11 @@ class TestHeldWalk:
         # the one matrix of the benchmark's analyze pool whose cross check
         # retries on the doubled window (108 -> 216 powers): a cold walk of
         # 108 makes 107 products, and its extension to 216 makes 108 more;
-        # the extension runs no second rank check
+        # the extension runs no second rank check and compiles no second
+        # multiplier
         buf = io.StringIO()
         assert run(["analyze", "-m", "[[-1,-3,-2],[-2,-2,2],[-2,-1,3]]"], out=buf) == EXIT_OK
-        assert walk_products[0] == 215
+        assert walk_products == [215, 1]
         assert rank_checks[0] == 1
 
     def test_one_rank_check_per_walk(self, walk_products, rank_checks):

@@ -1,26 +1,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodeg.errors import DimensionMismatch, NotUnimodular
 from monodeg.exact import (
     IntMatrix,
     IntPoly,
     _from_power_sums,
+    _multiplier,
     _power_sums,
     _product_rows,
     _pseudo_rem,
     char_poly,
     cyclotomic,
     det,
-    euler_phi,
     inverse_unimodular,
+    orders_with_phi_at_most,
     poly_gcd,
 )
 
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE, TRIBONACCI_COMPANION
 from oracles import (
     _bareiss_det_poly,
+    euler_phi,
     eval_fraction,
     mat_mul,
     mat_pow,
@@ -58,6 +62,54 @@ class TestMatMul:
             a = random_matrix(rng, k, -6, 6)
             b = random_matrix(rng, k, -6, 6)
             assert _product_rows(a.rows, tuple(zip(*b.rows))) == mat_mul(a, b).rows
+
+
+def _square_pair(k: int):
+    """Two k x k matrices A and X with entries in [-3, 3]."""
+    square = st.tuples(*[st.tuples(*[st.integers(-3, 3)] * k)] * k).map(IntMatrix)
+    return st.tuples(square, square)
+
+
+def assert_multiplier_product(a: IntMatrix, x: IntMatrix) -> None:
+    """The multiplier compiled for A maps X to X*A, as the general product
+    and the schoolbook oracle do."""
+    product = _multiplier(a.rows)(x.rows)
+    assert product == _product_rows(x.rows, tuple(zip(*a.rows)))
+    assert product == mat_mul(x, a).rows
+
+
+class TestMultiplier:
+    """The walk's compiled multiplier against the general product and the
+    oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(_square_pair))
+    def test_small_entries(self, pair):
+        assert_multiplier_product(*pair)
+
+    def test_entries_up_to_2_200(self):
+        rng = random.Random(29)
+        for k in range(1, 7):
+            for _ in range(5):
+                a = random_matrix(rng, k, -(2**200), 2**200)
+                x = random_matrix(rng, k, -(2**200), 2**200)
+                assert_multiplier_product(a, x)
+
+    def test_zero_column_is_the_empty_sum(self):
+        a = IntMatrix(((2, 0, -1), (1, 0, 3), (-1, 0, 1)))
+        x = random_matrix(random.Random(31), 3, -9, 9)
+        assert_multiplier_product(a, x)
+        assert all(row[1] == 0 for row in _multiplier(a.rows)(x.rows))
+
+    def test_entry_beyond_the_str_digit_limit(self):
+        # str(10**5000) raises ValueError under Python's int-to-str limit, so
+        # a source text that carried an entry could not even be built
+        a = IntMatrix(((10**5000, 1), (1, 1)))
+        step = _multiplier(a.rows)
+        power = a.rows
+        for n in (2, 3):
+            power = step(power)
+            assert power == mat_pow(a, n).rows
 
 
 class TestMatPow:
@@ -265,6 +317,15 @@ class TestCyclotomic:
     def test_degree_is_totient(self):
         for m in range(1, 40):
             assert cyclotomic(m).degree == euler_phi(m)
+
+
+def test_totient_sieve_matches_trial_division():
+    # up to 2 * 120^2, past every bound's cap, so the cap is checked too
+    phi = [0] + [euler_phi(m) for m in range(1, 2 * 120**2 + 1)]
+    for bound in range(1, 121):
+        assert orders_with_phi_at_most(bound) == tuple(
+            m for m in range(1, len(phi)) if phi[m] <= bound
+        )
 
 
 class TestPowerSums:
