@@ -29,7 +29,6 @@ from .exact import (
     IntMatrix,
     IntPoly,
     char_poly,
-    cyclotomic,
     det,
     inverse_unimodular,
     poly_gcd,
@@ -47,10 +46,8 @@ from .spectra import (
     RootBox,
     SpectralSummary,
     isolate_roots,
-    ratio_polynomial,
     spectral_summary,
     squarefree_part,
-    unity_ratio_orders,
 )
 from .verdict import (
     CrossCheckReport,

@@ -170,7 +170,6 @@ def _spectrum_payload(s: SpectralSummary) -> dict[str, Any]:
         "modulus_classes": classes,
         "dominant_pair": list(s.dominant_pair) if s.dominant_pair else None,
         "ratio_flags": flags,
-        "unity_orders": list(s.unity_orders),
     }
 
 

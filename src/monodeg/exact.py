@@ -9,8 +9,10 @@ identities, and unimodular inverses from Cayley-Hamilton on the same powers
 of A.
 
 Values are immutable and operations are pure functions, so the module is safe
-for concurrent use.  The only shared state is the cyclotomic cache, whose
-fills are idempotent.  Matrix powers are walked in :mod:`monodeg.degree`,
+for concurrent use.  The only shared state is the ``functools.cache`` memo of
+``orders_with_phi_at_most``: it maps a bound to an immutable tuple that is a
+pure function of the bound, so a fill repeated by a concurrent caller stores
+an equal value.  Matrix powers are walked in :mod:`monodeg.degree`,
 one call per power of the multiplier ``_multiplier`` compiles for the
 matrix; ``_product_rows`` is the general product, for Le Verrier's few
 powers and as the tests' reference.
@@ -309,29 +311,8 @@ def _root_powers(p: IntPoly, m: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic polynomials and totients
+# Totients
 # ---------------------------------------------------------------------------
-
-_CYCLOTOMIC_CACHE: dict[int, IntPoly] = {1: IntPoly((-1, 1))}
-
-
-def cyclotomic(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, by exact division of x^m - 1.
-
-    Cached; concurrent fills are idempotent.
-    """
-    if m <= 0:
-        raise ValueError("cyclotomic index must be positive")
-    cached = _CYCLOTOMIC_CACHE.get(m)
-    if cached is not None:
-        return cached
-    num = IntPoly((-1,) + (0,) * (m - 1) + (1,))  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            num = num.exact_div(cyclotomic(d))
-    _CYCLOTOMIC_CACHE[m] = num
-    return num
-
 
 @functools.cache
 def orders_with_phi_at_most(bound: int) -> tuple[int, ...]:

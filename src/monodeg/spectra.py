@@ -4,13 +4,10 @@ Two layers cooperate here.
 
 Exact layer: characteristic polynomials, Yun squarefree decomposition, the
 product polynomial prod_(i<=j) (z - lambda_i*lambda_j) (so every |lambda|^2
-appears among its real roots), the reduced ratio polynomial
-Res_y(p(y), p(x*y))/(x - 1)^k whose roots are the eigenvalue ratios
-lambda_j/lambda_i with i != j, and cyclotomic divisibility tests giving the
-orders m that some ratio may have as a root of unity.  The product and ratio
-polynomials, and the polynomials G_m whose roots are the m-th powers of the
-eigenvalues, are symmetric functions of the eigenvalues and are built from
-integer power sums with Newton's identities, not from resultants.
+appears among its real roots) and the polynomials G_m whose roots are the
+m-th powers of the eigenvalues.  Both are symmetric functions of the
+eigenvalues and are built from integer power sums with Newton's identities,
+not from resultants.
 
 Certified numeric layer: root isolation with dyadic centers and radii.
 Floating point only proposes starting points: a double-precision Aberth
@@ -39,10 +36,13 @@ at the dyadic ends of the spans decide which pin one root, which hold the
 same one, and where each lies against 1 (_partition_by_modulus).
 
 The ratio conj(lambda)/lambda of a pair is a root of unity of order m
-exactly when lambda^m is real.  An exact dyadic disk around lambda^m, from
-the pair's own handle, either misses the real axis or, once small, meets a
-single certified disk of G_m's roots; that disk's realness decides it
-(_attribute_pair).  No polynomial of degree above k is ever isolated.
+exactly when lambda^m is real, and phi(m) is then at most d*(d - 1), d the
+degree of chi's squarefree part.  One walk over lambda, lambda^2, ... from
+the pair's own handle puts a dyadic disk around each power; an m whose disk
+misses the real axis is passed over.  For any other m, the disk, shrunk,
+meets a single certified disk of G_m's roots or misses the axis; that
+decides it (_attribute_pair).  No polynomial of degree above k is ever
+isolated.
 
 A Mahler-type root-separation lower bound (valid because the discriminant of
 a squarefree integer polynomial is a nonzero integer) bounds the refinement
@@ -62,7 +62,7 @@ one assignment, and failures are never held (spectral_summary).
 from __future__ import annotations
 
 import cmath
-import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -77,7 +77,6 @@ from .exact import (
     _pseudo_rem,
     _root_powers,
     char_poly,
-    cyclotomic,
     orders_with_phi_at_most,
     poly_gcd,
 )
@@ -503,7 +502,6 @@ class SpectralSummary:
     modulus_classes: tuple[ModulusClass, ...]
     dominant_pair: tuple[int, int] | None
     ratio_flags: tuple[RatioFlag, ...]
-    unity_orders: tuple[int, ...]
 
 
 def squarefree_part(p: IntPoly) -> tuple[IntPoly, tuple[tuple[IntPoly, int], ...]]:
@@ -584,7 +582,7 @@ def isolate_roots(p: IntPoly, eps: Fraction) -> list[RootBox]:
 
 def _monic_scaled(p: IntPoly) -> IntPoly:
     """q(x) = lc^(d-1) * p(x/lc): monic with integer coefficients, and its
-    roots are lc * root for each root of p.  Ratios of roots are unchanged."""
+    roots are lc * root for each root of p."""
     d, a = p.degree, p.lc
     return IntPoly(tuple(c * a ** (d - 1 - i) for i, c in enumerate(p.coeffs[:-1])) + (1,))
 
@@ -765,83 +763,33 @@ def _expand_classes(
 
 # -- eigenvalue ratio machinery ----------------------------------------------
 
-def ratio_polynomial(p: IntPoly) -> IntPoly:
-    """The reduced ratio polynomial full / (x - 1)^k of a degree-k p, p(0) != 0.
-
-    full = lc(p)^k * ((-1)^k p(0))^k * prod_(i,j) (x - root_j/root_i), which
-    is Res_y(p(y), p(x*y)) with its sign; it has degree k^2 and vanishes
-    exactly at the ratios.  Dividing by (x - 1)^k leaves out the k diagonal
-    ratios i = j.
-
-    Built from power sums: with mu_i the roots of the monic q = _monic_scaled(p)
-    and c = q(0), the monic integer polynomial with roots c/mu_i (the
-    reversal of q, scaled) has power sums t_m, and the products s_m*t_m are
-    the power sums of the roots c*root_j/root_i.  The k diagonal roots are c,
-    so s_m*t_m - k*c^m are the power sums of the off-diagonal ones.  Scaling
-    back by x -> c*x divides each coefficient by a power of c, exactly.
+def _power_disks(h):
+    """Dyadic disks (X, Y, S, e') around lambda, lambda^2, lambda^3, ... for
+    the root lambda of a handle whose radius certifies (e not None): centre
+    (X + iY)/2^S, radius 2^-e', one complex product per power.  The handle
+    is read once, at the first disk; _attribute_pair says why each disk
+    holds its power.
     """
-    k = p.degree
-    if k < 1:
-        raise ValueError("ratio polynomial needs degree at least 1")
-    if p.constant == 0:
-        raise ValueError("zero eigenvalue: ratios are undefined")
-    q = _monic_scaled(p)
-    c = q.constant
-    n = k * k - k
-    s, t = _power_sums(q, n), _power_sums(_monic_scaled(q.reversed_coeffs()), n)
-    scaled = _from_power_sums([s[m - 1] * t[m - 1] - k * c**m for m in range(1, n + 1)])
-    factor = (-p.lc * p.constant) ** k
-    return IntPoly(tuple(factor * b // c ** (n - i) for i, b in enumerate(scaled.coeffs)))
+    s, e = max(h.bits, h.e), h.e
+    x, y = h.x << (s - h.bits), h.y << (s - h.bits)
+    r = 1 << (s - e)
+    M = math.isqrt(x * x + y * y) + 1 + r
+    X, Y, R, S = x, y, r, s
+    while True:
+        yield X, Y, S, S - R.bit_length()
+        X, Y, R = X * x - Y * y, X * y + Y * x, R * M + (abs(X) + abs(Y)) * r
+        S += s
+        t = max(abs(X), abs(Y), R).bit_length() - (e + 32)
+        if t > 0:
+            X, Y, R, S = X >> t, Y >> t, (R >> t) + 3, S - t
 
 
-_PROBE = 1 << 64
-
-
-@functools.cache
-def _cyclotomic_at_probe(m: int) -> int:
-    return cyclotomic(m).eval_int(_PROBE)
-
-
-def unity_ratio_orders(p: IntPoly) -> list[int]:
-    """All m with phi(m) <= k^2 such that the m-th cyclotomic polynomial
-    shares a factor with the reduced ratio polynomial R, ascending.
-
-    Cyclotomic polynomials are irreducible, so sharing a factor is plain
-    divisibility; a ratio that is a primitive m-th root of unity has degree
-    phi(m) <= deg(R) <= k^2, whence m <= 2k^4.
-
-    Most candidates fail, and one integer remainder proves it: Phi_m is
-    monic, so Phi_m | R in Z[x] means R = Phi_m * S with S in Z[x], hence
-    Phi_m(T) | R(T) for every integer T.  With T = 2^64 (Phi_m(T) > 0),
-    R(T) mod Phi_m(T) != 0 rules Phi_m out; only the rest are divided.
-    """
-    k = p.degree
-    reduced = ratio_polynomial(p)
-    r_at = reduced.eval_int(_PROBE)
-    return [
-        m for m in orders_with_phi_at_most(min(k * k, reduced.degree))
-        if r_at % _cyclotomic_at_probe(m) == 0 and cyclotomic(m).divides(reduced)
-    ]
-
-
-def _power_disk(h, m: int) -> tuple[int, int, int, int]:
-    """A dyadic disk (X, Y, bits*m, e') holding lambda^m for the root lambda
-    of a handle with centre c = (x + iy)/2^bits and radius r = 2^-e.
-
-    The centre is c^m = (x + iy)^m / 2^(bits*m), exactly.  The radius 2^-e'
-    is m*r*(|c| + r)^(m-1) rounded up: lambda^m - c^m = (lambda - c) *
-    sum_j lambda^j c^(m-1-j), and |lambda| <= |c| + r.  With s = max(bits, e)
-    and A = (isqrt(x^2 + y^2) + 1)*2^(s-bits) + 2^(s-e) >= (|c| + r)*2^s, the
-    bound is N/2^(e + s*(m-1)) with N = m*A^(m-1) < 2^len(N); e' may be
-    negative while the handle is coarse.
-    """
-    x, y, bits, e = h.x, h.y, h.bits, h.e
-    re, im = x, y
-    for _ in range(m - 1):
-        re, im = re * x - im * y, re * y + im * x
-    s = max(bits, e)
-    a = ((math.isqrt(x * x + y * y) + 1) << (s - bits)) + (1 << (s - e))
-    return re, im, bits * m, e + s * (m - 1) - (m * a ** (m - 1)).bit_length()
+def _misses_axis(disk) -> bool:
+    """Whether a dyadic disk (x, y, bits, e) misses the real axis:
+    |y|/2^bits > 2^-e, compared as integers at the larger exponent."""
+    x, y, b, e = disk
+    t = max(b, e)
+    return abs(y) << (t - b) > 1 << (t - e)
 
 
 def _attribute_pair(
@@ -851,14 +799,34 @@ def _attribute_pair(
     which order, from lambda^m alone.
 
     zeta^m = conj(lambda^m)/lambda^m, so zeta^m = 1 exactly when lambda^m is
-    real.  The order of zeta, if any, is among the candidates: zeta is a root
-    of the reduced ratio polynomial, so its cyclotomic polynomial divides it,
-    and zeta != 1 for a non-real lambda.  For each candidate m, ascending,
-    lambda^m is a root of G_m = _root_powers(sf, m), sf the monic squarefree
-    part of chi; G_m's squarefree part (degree <= deg sf) is isolated, and
-    the pair handle is refined until
-    the disk D of _power_disk, which holds lambda^m, settles one of two
-    cases:
+    real.  The order of zeta, if any, is among the candidates, every m >= 2
+    with phi(m) <= d*(d - 1), d = deg sf: the minimal polynomial of lambda
+    divides sf, so [Q(lambda):Q] <= d, and conj(lambda) is another root of
+    it, so [Q(lambda, conj(lambda)):Q(lambda)] <= d - 1.  zeta lies in
+    Q(lambda, conj(lambda)), and a primitive m-th root of unity has degree
+    phi(m) over Q.  zeta != 1 for a non-real lambda.
+
+    The candidates are screened, ascending, by the disks of _power_disks,
+    which hold the powers of lambda.  With s = max(bits, e), the handle's
+    centre c and radius r = 2^-e are read at the scale 2^s: x + iy, and
+    r*2^s = 2^(s-e).  The invariant is |lambda^m - P| <= R/2^S for the
+    centre P = (X + iY)/2^S, and it holds at m = 1.  A step writes
+    lambda^(m+1) - P*c = P*(lambda - c) + (lambda^m - P)*lambda, whose
+    modulus is at most |P|*r + (R/2^S)*(|c| + r), as |lambda| <= |c| + r;
+    with |X + iY| <= |X| + |Y| that is at most
+    (R*M + (|X| + |Y|)*2^(s-e))/2^(S+s) with M = isqrt(x^2 + y^2) + 1 +
+    2^(s-e) >= (|c| + r)*2^s.  So (X + iY)*(x + iy), exact, at S + s with
+    that R keeps the invariant.  The three integers are then cut to a
+    mantissa of e + 32 bits, t bits off at S - t: flooring X and Y moves P
+    by less than sqrt(2)*2^(t-S), and (R >> t) + 3 >= R/2^t + 2 covers that.
+    The disk yielded has radius 2^(len(R) - S) > R/2^S.  A disk that misses
+    the real axis proves lambda^m not real, and m is passed over.
+
+    For a candidate m whose disk D meets the axis, lambda^m is a root of
+    G_m = _root_powers(sf, m), sf the monic squarefree part of chi; G_m's
+    squarefree part (degree <= deg sf) is isolated, and the pair handle is
+    refined, D read each round from a walk restarted on the refined handle,
+    until D settles one of two cases:
 
     * D misses the real axis: lambda^m is not real, so zeta^m != 1, and the
       next candidate is tried;
@@ -874,13 +842,18 @@ def _attribute_pair(
     root of unity.  A pair radius below 2^-cap_bits leaves the flag
     UNRESOLVED.
     """
-    for m in candidate_orders:
+    wanted = set(candidate_orders)
+    walk = _power_disks(pair_handle)
+    for m in range(1, max(wanted, default=0) + 1):
+        disk = next(walk)
+        if m not in wanted or _misses_axis(disk):
+            continue
         handles = _isolate_handles(squarefree_part(_root_powers(sf, m))[0], 32)
         for _ in range(cap_bits + 64):
             if pair_handle.e is not None:
-                x, y, b, e = disk = _power_disk(pair_handle, m)
-                t = max(b, e)
-                if abs(y) << (t - b) > 1 << (t - e):  # D misses the real axis
+                walk = _power_disks(pair_handle)
+                disk = next(itertools.islice(walk, m - 1, None))
+                if _misses_axis(disk):
                     break
                 hits = [h for h in handles for d in _disks(h) if not _disjoint(disk, d)]
                 if len(hits) == 1 and hits[0].is_real:
@@ -938,8 +911,8 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
     )
 
     # conjugate-ratio flags
-    orders = unity_ratio_orders(chi)
-    pair_candidates = [m for m in orders if m != 1]  # a non-real pair ratio is not 1
+    d = sf.degree
+    pair_candidates = [m for m in orders_with_phi_at_most(d * (d - 1)) if m != 1]
     flags: list[RatioFlag] = []
     for h in ordered:
         if h.is_real:
@@ -957,7 +930,6 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
         modulus_classes=classes,
         dominant_pair=_dominant_pair(boxes, classes),
         ratio_flags=tuple(flags),
-        unity_orders=tuple(orders),
     )
     _held = (a.rows, precision_bits, summary)
     return summary
@@ -982,8 +954,7 @@ def reciprocal_summary(summary: SpectralSummary) -> SpectralSummary:
       conjugation: box i holds 1/conj(lambda_i), and pairs, disjointness and
       box indices carry over;
     * moduli invert: classes in reversed order, GT and LT swapped;
-    * the conjugate ratio of 1/conj(lambda) is that of lambda, and the set of
-      all ratios is closed under inversion: flags and unity orders stay.
+    * the conjugate ratio of 1/conj(lambda) is that of lambda: flags stay.
     """
     chi = summary.char_poly
     if chi.constant not in (1, -1):
@@ -1005,7 +976,6 @@ def reciprocal_summary(summary: SpectralSummary) -> SpectralSummary:
         modulus_classes=classes,
         dominant_pair=_dominant_pair(boxes, classes),
         ratio_flags=summary.ratio_flags,
-        unity_orders=summary.unity_orders,
     )
 
 
@@ -1022,8 +992,6 @@ __all__ = [
     "SpectralSummary",
     "squarefree_part",
     "isolate_roots",
-    "ratio_polynomial",
-    "unity_ratio_orders",
     "spectral_summary",
     "reciprocal_summary",
 ]

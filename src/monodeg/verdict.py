@@ -119,7 +119,6 @@ def _classify_from_summary(summary: SpectralSummary) -> Verdict:
     ge1 = _modulus_ge_one_indices(summary)
     detail_base: dict[str, Any] = {
         "modulus_ge_one_indices": tuple(ge1),
-        "unity_orders": summary.unity_orders,
         "dominant_pair": summary.dominant_pair,
         "ge_one_ratio_flags": tuple(
             (idx, summary.ratio_flags[idx].kind, summary.ratio_flags[idx].order)

@@ -12,8 +12,7 @@ These deliberately avoid the production code paths they check:
   product of per-max argmax sets, and canonical_cell takes its least
   member, instead of the package's one pass over the maxima;
 * sylvester_resultant_in_y expands the Sylvester matrix and eliminates it
-  fraction-free instead of composing power sums, and ratio_full_oracle
-  applies it to Res_y(p(y), p(x*y));
+  fraction-free instead of composing power sums;
 * hankel_min_order recovers the minimal annihilator order from exact Hankel
   ranks instead of Berlekamp-Massey;
 * polyroots_oracle approximates every complex root to 100 digits with
@@ -35,12 +34,12 @@ These deliberately avoid the production code paths they check:
   conjugate ratio to every power m in turn instead of certifying disks
   around lambda^m.
 
-The small polynomial helpers (poly_from_roots, poly_pow, eval_fraction,
-eval_gaussian, poly_at_matrix) build test inputs and evaluate them exactly,
-and
-check_candidate verifies a monic polynomial as a recurrence, and
-root_bound_pow2 bounds its roots by a power of two; the package has no use
-for them.
+The small polynomial helpers (poly_from_roots, poly_pow, cyclotomic,
+eval_fraction, eval_gaussian, poly_at_matrix) build test inputs and evaluate
+them exactly, check_candidate verifies a monic polynomial as a recurrence,
+root_bound_pow2 bounds its roots by a power of two, and pair_flags_vs_oracle
+lines a summary's pair flags up against unity_order_oracle; the package has
+no use for them.
 """
 
 from __future__ import annotations
@@ -142,6 +141,23 @@ def poly_pow(p: IntPoly, n: int) -> IntPoly:
     for _ in range(n):
         result = result * p
     return result
+
+
+def cyclotomic(m: int) -> IntPoly:
+    """The m-th cyclotomic polynomial, uncached: Phi_n for each divisor n of
+    m, ascending, is x^n - 1 divided exactly by the Phi_d of n's proper
+    divisors d."""
+    if m <= 0:
+        raise ValueError("cyclotomic index must be positive")
+    phis: dict[int, IntPoly] = {}
+    for n in range(1, m + 1):
+        if m % n == 0:
+            num = IntPoly((-1,) + (0,) * (n - 1) + (1,))  # x^n - 1
+            for d, phi_d in phis.items():
+                if n % d == 0:
+                    num = num.exact_div(phi_d)
+            phis[n] = num
+    return phis[m]
 
 
 def eval_fraction(p: IntPoly, x: Fraction) -> Fraction:
@@ -278,14 +294,6 @@ def sylvester_resultant_in_y(f: list[IntPoly], g: list[IntPoly]) -> IntPoly:
     for j in range(m):
         rows.append([zero] * j + gd + [zero] * (m - 1 - j))
     return _bareiss_det_poly(rows)
-
-
-def ratio_full_oracle(p: IntPoly) -> IntPoly:
-    """Res_y(p(y), p(x*y)) as a Sylvester determinant: the full ratio
-    polynomial, degree k^2, whose roots are all ratios root_j/root_i."""
-    f_y = [IntPoly((c,)) for c in p.coeffs]
-    g_y = [IntPoly((0,) * i + (c,)) for i, c in enumerate(p.coeffs)]
-    return sylvester_resultant_in_y(f_y, g_y)
 
 
 def hankel_min_order(seq: list[int], max_order: int) -> int | None:
@@ -698,8 +706,8 @@ def unity_order_oracle(p: IntPoly, dps: int = 60) -> list[tuple[complex, int | N
     lambda, and the order of zeta = conj(lambda)/lambda as a root of unity
     (None when it is not one), from dps-digit mpmath approximations.
 
-    A root of unity among the off-diagonal ratios has some order m with
-    phi(m) <= k^2 - k, the degree of the reduced ratio polynomial, and
+    A conjugate ratio that is a root of unity has some order m with
+    phi(m) <= k^2 - k, since it lies in Q(lambda, conj(lambda)), and
     phi(m) >= sqrt(m/2); so every m up to 2(k^2 - k)^2 with that totient
     bound is tried, ascending.  The order is the first m with
     |zeta^m - 1| < 10^-40; zeta is no root of unity when every tried m gives
@@ -741,3 +749,18 @@ def unity_order_oracle(p: IntPoly, dps: int = 60) -> list[tuple[complex, int | N
                     return None
             out.append((complex(lam), order))
         return out
+
+
+def pair_flags_vs_oracle(summary, oracle) -> list[tuple[tuple, tuple]]:
+    """(kind, order) of each upper half-plane pair box's ratio flag in a
+    spectral summary, next to the one unity_order_oracle gives the root
+    nearest the box centre."""
+    out = []
+    for box, flag in zip(summary.roots, summary.ratio_flags):
+        if box.is_real or box.center[1] < 0:
+            continue
+        z = complex(*box.center)
+        order = min(oracle, key=lambda o: abs(o[0] - z))[1]
+        want = ("ROOT_OF_UNITY", order) if order else ("NOT_ROOT_OF_UNITY", None)
+        out.append(((flag.kind, flag.order), want))
+    return out

@@ -12,7 +12,13 @@ from monodeg.cells import PERIODIC, STABILIZED, cell_trace
 from monodeg.degree import degree, degree_sequence, functional_set
 from monodeg.exact import IntPoly, char_poly
 from monodeg.recur import berlekamp_massey, find_recurrence
-from monodeg.spectra import ratio_polynomial, unity_ratio_orders
+from monodeg.spectra import (
+    NOT_ROOT_OF_UNITY,
+    ROOT_OF_UNITY,
+    RatioFlag,
+    spectral_summary,
+    squarefree_part,
+)
 from monodeg.verdict import (
     NO_RECURRENCE_PROVEN,
     PROP_3_1,
@@ -36,9 +42,9 @@ from conftest import (
 from oracles import (
     check_candidate,
     homogenization_degree,
-    poly_pow,
+    pair_flags_vs_oracle,
     random_rank_matrix,
-    ratio_full_oracle,
+    unity_order_oracle,
 )
 
 
@@ -121,32 +127,33 @@ def test_criterion_07_modulus_one_root_of_unity():
         v = classify_d1(QUARTER_ROTATION)
         assert v.classification == RECURRENCE_PROVEN
         assert v.basis == THM_1_1_PART1
-        assert 2 in v.details["unity_orders"]
+        s = v.summary
+        assert s.ratio_flags[s.dominant_pair[0]] == RatioFlag(ROOT_OF_UNITY, 2)
 
 
 def test_criterion_08_two_by_two_no_recurrence():
     with criterion(8, "2x2 dominant pair with non-unity ratio"):
-        assert unity_ratio_orders(char_poly(PAIR_2X2)) == []
-        reduced = ratio_polynomial(char_poly(PAIR_2X2))
-        assert reduced.primitive_positive() == IntPoly((3, 2, 3))  # 9x^2+6x+9 / content
+        s = spectral_summary(PAIR_2X2)
+        assert s.ratio_flags == (RatioFlag(NOT_ROOT_OF_UNITY),) * 2
         v = classify_d1(PAIR_2X2)
         assert v.classification == NO_RECURRENCE_PROVEN
         seq = degree_sequence(PAIR_2X2, 40).terms
         assert find_recurrence(seq, max_order=8, guard=16) is None
 
 
-def test_criterion_09_ratio_polynomial_structure():
-    with criterion(9, "ratio polynomial structure on 100 randoms"):
+def test_criterion_09_pair_ratio_flags():
+    with criterion(9, "pair ratio flags equal the mpmath oracle on 100 randoms"):
         rng = random.Random(909)
+        checked = 0
         for i in range(100):
             k = (2, 3, 4)[i % 3]
-            p = char_poly(random_rank_matrix(rng, k, -3, 3))
-            reduced = ratio_polynomial(p)
-            full = reduced * poly_pow(IntPoly((-1, 1)), k)
-            assert full.degree == k * k
-            assert full == ratio_full_oracle(p)
-            rev = reduced.reversed_coeffs().primitive_positive()
-            assert rev == reduced.primitive_positive()
+            s = spectral_summary(random_rank_matrix(rng, k, -3, 3))
+            oracle = unity_order_oracle(squarefree_part(s.char_poly)[0])
+            assert oracle is not None
+            for got, want in pair_flags_vs_oracle(s, oracle):
+                assert got == want
+                checked += 1
+        assert checked >= 30
 
 
 def test_criterion_10_cell_trace_coherence():

@@ -14,7 +14,6 @@ from monodeg.exact import (
     _product_rows,
     _pseudo_rem,
     char_poly,
-    cyclotomic,
     det,
     inverse_unimodular,
     orders_with_phi_at_most,
@@ -24,6 +23,7 @@ from monodeg.exact import (
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE, TRIBONACCI_COMPANION
 from oracles import (
     _bareiss_det_poly,
+    cyclotomic,
     euler_phi,
     eval_fraction,
     mat_mul,
@@ -352,21 +352,6 @@ class TestPowerSums:
 
 def _rand_poly(rng: random.Random) -> IntPoly:
     return IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
-
-
-class TestConcurrency:
-    def test_cyclotomic_cache_concurrent_fills(self):
-        # the cache must tolerate idempotent concurrent fills
-        from concurrent.futures import ThreadPoolExecutor
-
-        import monodeg.exact as exact_mod
-
-        exact_mod._CYCLOTOMIC_CACHE.clear()
-        exact_mod._CYCLOTOMIC_CACHE[1] = IntPoly((-1, 1))
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(cyclotomic, [105] * 16))
-        assert all(r == results[0] for r in results)
-        assert results[0].degree == euler_phi(105)
 
 
 class TestIntPolyBasics:

@@ -15,26 +15,32 @@ from hypothesis import strategies as st
 import monodeg
 from monodeg import spectra
 from monodeg.errors import RankDeficient, UnresolvedCertification
-from monodeg.exact import IntMatrix, IntPoly, _root_powers, char_poly, cyclotomic, det, poly_gcd
+from monodeg.exact import (
+    IntMatrix,
+    IntPoly,
+    _root_powers,
+    char_poly,
+    det,
+    orders_with_phi_at_most,
+    poly_gcd,
+)
 from monodeg.spectra import (
     EQ,
     GT,
     LT,
     NOT_ROOT_OF_UNITY,
     ROOT_OF_UNITY,
-    UNRESOLVED,
     ModulusClass,
     RootBox,
     isolate_roots,
-    ratio_polynomial,
     spectral_summary,
     squarefree_part,
-    unity_ratio_orders,
 )
 
 from conftest import NO_RECURRENCE_3X3, PAIR_2X2, QUARTER_ROTATION
 from oracles import (
     FractionHandle,
+    cyclotomic,
     eval_gaussian,
     fraction_start,
     handle_view,
@@ -42,10 +48,10 @@ from oracles import (
     modulus_classes_oracle,
     modulus_ranking_oracle,
     mpf_fraction,
+    pair_flags_vs_oracle,
     polyroots_oracle,
     poly_pow,
     random_rank_matrix,
-    ratio_full_oracle,
     root_bound_pow2,
     sylvester_resultant_in_y,
     unity_order_oracle,
@@ -638,7 +644,9 @@ class TestModulusClasses:
         eq_class = mc.classes[1]
         assert len(eq_class.indices) == 2
         assert not mc.roots[eq_class.indices[0]].is_real
-        assert unity_ratio_orders(p) == []
+        s = spectral_summary(_companion(p))
+        pair_flags = [f for b, f in zip(s.roots, s.ratio_flags) if not b.is_real]
+        assert [f.kind for f in pair_flags] == [NOT_ROOT_OF_UNITY] * 2
 
 
 # Q with the roots -3, 0, 1/2, 1, 9/4, 4 and +-sqrt(2), so that every
@@ -892,43 +900,6 @@ class TestLargeKClassesAgainstMpmath:
                 assert abs(math.hypot(re, im) - modulus) < 1e-9
 
 
-def _ratio_full(reduced: IntPoly, k: int) -> IntPoly:
-    """The full ratio polynomial reduced * (x - 1)^k."""
-    return reduced * poly_pow(IntPoly((-1, 1)), k)
-
-
-class TestRatioPolynomial:
-    def test_quadratic_pair(self):
-        reduced = ratio_polynomial(IntPoly((1, 0, 1)))
-        assert _ratio_full(reduced, 2).degree == 4
-        assert reduced.primitive_positive() == IntPoly((1, 2, 1))  # (x+1)^2
-
-    def test_ratio_roots_example(self):
-        reduced = ratio_polynomial(IntPoly((3, -2, 1)))  # t^2 - 2t + 3
-        assert reduced.primitive_positive() == IntPoly((3, 2, 3))
-
-    def test_distinct_real_roots(self):
-        reduced = ratio_polynomial(IntPoly((6, -5, 1)))  # roots 2, 3
-        assert reduced.primitive_positive() == IntPoly((6, -13, 6))
-
-    def test_zero_constant_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_polynomial(IntPoly((0, 1, 1)))
-
-    def test_structure_on_randoms(self):
-        rng = random.Random(21)
-        for _ in range(30):
-            k = rng.choice([2, 3, 4])
-            a = random_rank_matrix(rng, k, -3, 3)
-            p = char_poly(a)
-            reduced = ratio_polynomial(p)
-            full = _ratio_full(reduced, k)
-            assert full.degree == k * k
-            assert full == ratio_full_oracle(p)
-            rev = reduced.reversed_coeffs().primitive_positive()
-            assert rev == reduced.primitive_positive()
-
-
 def _oracle_product_sf(p: IntPoly) -> IntPoly:
     """Squarefree part of Res_y(p(y), y^d p(z/y)), roots all root_i*root_j."""
     d = p.degree
@@ -938,14 +909,12 @@ def _oracle_product_sf(p: IntPoly) -> IntPoly:
 
 
 def _assert_matches_oracle(p: IntPoly) -> None:
-    assert _ratio_full(ratio_polynomial(p), p.degree) == ratio_full_oracle(p)
     assert squarefree_part(spectra._product_poly(p))[0] == _oracle_product_sf(p)
 
 
 class TestPowerSumConstructionOracle:
-    """Product and ratio polynomials against the Sylvester determinant: the
-    exact value and sign of the full ratio polynomial, and the squarefree
-    part of the product polynomial."""
+    """The squarefree part of the product polynomial against the Sylvester
+    determinant."""
 
     def test_repeated_eigenvalues(self):
         for a in (
@@ -986,34 +955,6 @@ class TestPowerSumConstructionOracle:
     def test_property(self, constant, middle, lead):
         # degree 1..5 with p(0) != 0
         _assert_matches_oracle(IntPoly([constant, *middle, lead]))
-
-
-class TestUnityRatioOrders:
-    def test_pure_imaginary(self):
-        assert unity_ratio_orders(IntPoly((1, 0, 1))) == [2]
-
-    def test_non_unity_pair(self):
-        assert unity_ratio_orders(IntPoly((3, -2, 1))) == []
-
-    def test_forward_cubic_empty(self):
-        assert unity_ratio_orders(HP_CHAR) == []
-
-    def test_gcd_agrees_with_divisibility(self):
-        # dual route: every reported order must show up through poly_gcd too
-        for p in (IntPoly((1, 0, 1)), IntPoly((1, -1, 1)), cyclotomic(5)):
-            reduced = ratio_polynomial(p)
-            for m in unity_ratio_orders(p):
-                assert poly_gcd(reduced, cyclotomic(m)).degree >= 1
-
-    def test_reversal_invariance(self):
-        rng = random.Random(33)
-        for _ in range(15):
-            coeffs = [rng.randint(-3, 3) for _ in range(rng.choice([3, 4, 5]))]
-            coeffs[0] = coeffs[0] or 1
-            coeffs[-1] = coeffs[-1] or 1
-            p = IntPoly(coeffs)
-            q = p.reversed_coeffs()
-            assert unity_ratio_orders(p) == unity_ratio_orders(q)
 
 
 def _product(*factors) -> IntPoly:
@@ -1083,7 +1024,8 @@ class TestPairAttribution:
         # meet the axis or a neighbouring root, and a negative exponent e'.
         factors = _ATTRIBUTION_CASES[name]
         sf = squarefree_part(_product(*(f for f, _ in factors)))[0]
-        candidates = [m for m in unity_ratio_orders(sf) if m != 1]
+        n = sf.degree
+        candidates = [m for m in orders_with_phi_at_most(n * (n - 1)) if m != 1]
         fine = _ordered_handles(sf)
         tried = negative = 0
         for i, h in enumerate(fine):
@@ -1101,7 +1043,8 @@ class TestPairAttribution:
                 coarse = _handle(sf, centre, bits)
                 if coarse.is_real or not holds_lambda_alone(coarse):
                     continue
-                negative += any(spectra._power_disk(coarse, m)[3] < 0 for m in candidates)
+                disks = zip(range(1, candidates[-1] + 1), spectra._power_disks(coarse))
+                negative += any(disk[3] < 0 for m, disk in disks if m in candidates)
                 flag = spectra._attribute_pair(coarse, sf, candidates, 256)
                 assert holds_lambda_alone(coarse)
                 assert (flag.kind, flag.order) == _expected_flag(factors, centre)
@@ -1135,13 +1078,13 @@ class TestPairAttribution:
                     lam = min((mpc(*z) for z in roots), key=lambda z: abs(z - c))
                     if abs(lam - c) > mpmath.mpf(r.numerator) / r.denominator:
                         continue  # the coarse disk holds another root
-                    for m in range(2, 16):
-                        x, y, b, e = spectra._power_disk(coarse, m)
-                        centre = mpmath.mpc(x, y) / mpmath.mpf(2) ** b
-                        assert centre == c**m
-                        assert abs(lam**m - centre) <= mpmath.mpf(2) ** -e
+                    power = mpmath.mpc(1)
+                    for _, (x, y, b, e) in zip(range(399), spectra._power_disks(coarse)):
+                        power *= lam  # lambda^m for m = 1..399
+                        dx, dy = power.real - mpmath.ldexp(x, -b), power.imag - mpmath.ldexp(y, -b)
+                        assert dx * dx + dy * dy <= mpmath.ldexp(1, -2 * e)
                         checked += 1
-        assert checked >= 4 * 14
+        assert checked >= 4 * 399
 
     @pytest.mark.parametrize("k", range(3, 9))
     def test_flags_match_the_mpmath_oracle(self, k):
@@ -1154,17 +1097,42 @@ class TestPairAttribution:
             oracle = unity_order_oracle(squarefree_part(p)[0])
             if oracle is None:
                 continue
-            for box, flag in zip(s.roots, s.ratio_flags):
-                if box.is_real or box.center[1] < 0:
-                    continue
-                z = complex(*box.center)
-                order = min(oracle, key=lambda o: abs(o[0] - z))[1]
-                assert flag.kind != UNRESOLVED
-                assert (flag.kind, flag.order) == (
-                    (ROOT_OF_UNITY, order) if order else (NOT_ROOT_OF_UNITY, None)
-                )
+            for got, want in pair_flags_vs_oracle(s, oracle):
+                assert got == want
                 checked += 1
         assert checked >= 6
+
+    def test_order_three_pairs_inside_and_outside_the_unit_circle(self):
+        # x^6 + 2x^3 - 1: lambda^3 is sqrt(2) - 1 or -sqrt(2) - 1, so both
+        # pairs have conjugate ratios of order 3, one at |lambda| < 1, where
+        # the walk's powers shrink towards 0
+        p = IntPoly((-1, 0, 0, 2, 0, 0, 1))
+        s = spectral_summary(_companion(p))
+        checked = pair_flags_vs_oracle(s, unity_order_oracle(p))
+        assert [want for _, want in checked] == [(ROOT_OF_UNITY, 3)] * 2
+        assert all(got == want for got, want in checked)
+        assert [c.versus_one for c in s.modulus_classes] == [GT, LT]
+
+    @pytest.mark.parametrize("k", (8, 12, 16))
+    def test_power_polynomials_only_for_returned_orders(self, k, monkeypatch):
+        # Every m whose disk around lambda^m misses the real axis is passed
+        # over, so G_m is built only for an order some pair returns.  A
+        # looser walk sends false m to G_m, whose isolation is the cost.
+        built = []
+        real = spectra._root_powers
+
+        def spy(p, m):
+            built.append(m)
+            return real(p, m)
+
+        monkeypatch.setattr(spectra, "_root_powers", spy)
+        rng = random.Random(f"power-screen/{k}")
+        for _ in range(4):
+            built.clear()
+            s = spectral_summary(random_rank_matrix(rng, k, -3, 3))
+            orders = {f.order for b, f in zip(s.roots, s.ratio_flags)
+                      if not b.is_real and f.kind == ROOT_OF_UNITY}
+            assert set(built) <= orders
 
     def test_no_isolation_above_degree_k(self, monkeypatch):
         degrees = []

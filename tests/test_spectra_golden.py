@@ -63,7 +63,6 @@ def _record(rows) -> dict:
             }
             for b in s.roots
         ],
-        "unity_orders": list(s.unity_orders),
     }
 
 

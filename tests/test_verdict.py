@@ -16,7 +16,7 @@ from monodeg.errors import (
 )
 from monodeg.exact import IntMatrix, IntPoly, char_poly, det, inverse_unimodular
 from monodeg.recur import Recurrence, find_recurrence
-from monodeg.spectra import EQ, reciprocal_summary, spectral_summary
+from monodeg.spectra import EQ, ROOT_OF_UNITY, RatioFlag, reciprocal_summary, spectral_summary
 from monodeg.verdict import (
     DUALITY_THM_1_2,
     NO_RECURRENCE_PROVEN,
@@ -74,7 +74,8 @@ class TestClassifyD1:
         v = classify_d1(QUARTER_ROTATION)
         assert v.classification == RECURRENCE_PROVEN
         assert v.basis == THM_1_1_PART1
-        assert 2 in v.details["unity_orders"]
+        s = v.summary
+        assert s.ratio_flags[s.dominant_pair[0]] == RatioFlag(ROOT_OF_UNITY, 2)
         # the attached recurrence annihilates the actual degree sequence
         seq = degree_sequence(QUARTER_ROTATION, 24).terms
         p = recurrence_poly(v.recurrence)
@@ -584,7 +585,7 @@ class TestCorpusProperties:
         v = classify_d1(a)
         assert v.classification == RECURRENCE_PROVEN
         assert v.basis == THM_1_1_PART1
-        assert 6 in v.details["unity_orders"]
+        assert v.summary.ratio_flags == (RatioFlag(ROOT_OF_UNITY, 6),) * 2
         seq = degree_sequence(a, 80).terms
         assert find_recurrence(seq, 8, 16) is None
         found = find_recurrence(seq, 12, 16)
