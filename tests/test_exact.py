@@ -319,6 +319,20 @@ class TestCyclotomic:
             assert cyclotomic(m).degree == euler_phi(m)
 
 
+class TestConcurrency:
+    def test_orders_memo_concurrent_fills(self):
+        # the module's one shared state, the memo of orders_with_phi_at_most,
+        # must tolerate concurrent fills of one bound from a cold start
+        from concurrent.futures import ThreadPoolExecutor
+
+        orders_with_phi_at_most.cache_clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(orders_with_phi_at_most, [40] * 12))
+        assert all(r == results[0] for r in results)
+        assert results[0] == tuple(m for m in range(1, 2 * 40**2 + 1) if euler_phi(m) <= 40)
+        assert orders_with_phi_at_most(40) == results[0]
+
+
 def test_totient_sieve_matches_trial_division():
     # up to 2 * 120^2, past every bound's cap, so the cap is checked too
     phi = [0] + [euler_phi(m) for m in range(1, 2 * 120**2 + 1)]

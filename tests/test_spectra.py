@@ -1159,6 +1159,114 @@ class TestPairAttribution:
         assert attributed >= len(_ATTRIBUTION_CASES)
 
 
+def _pair_flags(p: IntPoly) -> list[tuple[str, int | None]]:
+    """(kind, order) of the ratio flag of each upper half-plane pair box in
+    the summary of p's companion, in box order."""
+    s = spectral_summary(_companion(p))
+    return [(f.kind, f.order) for b, f in zip(s.roots, s.ratio_flags)
+            if not b.is_real and b.center[1] > 0]
+
+
+class TestPairRatioFlags:
+    """Ratio flags of whole summaries on small polynomials, each checked
+    without the power walk."""
+
+    def test_pure_imaginary_pair(self):
+        # x^2 + 4: lambda = 2i, zeta = -1, and the powers grow
+        assert _pair_flags(IntPoly((4, 0, 1))) == [(ROOT_OF_UNITY, 2)]
+
+    def test_non_unity_pair(self):
+        # x^2 - 2x + 3: zeta = (1 - i sqrt 2)^2 / 3 = (-1 - 2i sqrt 2)/3, whose
+        # minimal polynomial 3x^2 + 2x + 3 is not monic
+        assert _pair_flags(IntPoly((3, -2, 1))) == [(NOT_ROOT_OF_UNITY, None)]
+
+    def test_forward_cubic_pair(self):
+        s = spectral_summary(_companion(HP_CHAR))
+        flags = [(f.kind, f.order) for f in s.ratio_flags]
+        assert sorted(flags, key=repr) == sorted(
+            [(ROOT_OF_UNITY, 1)] + [(NOT_ROOT_OF_UNITY, None)] * 2, key=repr
+        )
+
+    def test_distinct_real_roots(self):
+        s = spectral_summary(_companion(IntPoly((-6, 1, 4, 1))))  # -3, -2, 1
+        assert all(b.is_real for b in s.roots)
+        assert s.ratio_flags == (spectra.RatioFlag(ROOT_OF_UNITY, 1),) * 3
+
+    @pytest.mark.parametrize("m", (3, 5, 7, 9, 12))
+    def test_orders_are_cyclotomic_roots(self, m):
+        # Phi_m's roots lambda have zeta = lambda^-2: order m / gcd(m, 2).
+        # Each order returned is checked on zeta itself, from mpmath roots:
+        # Phi_order(zeta) = 0 and zeta^d != 1 for every proper divisor d.
+        import mpmath
+
+        p = cyclotomic(m)
+        s = spectral_summary(_companion(p))
+        with mpmath.workdps(60):
+            roots = mpmath.polyroots(p.coeffs[::-1], maxsteps=200, extraprec=240)
+            checked = 0
+            for box, flag in zip(s.roots, s.ratio_flags):
+                if box.is_real:
+                    continue
+                lam = min(roots, key=lambda z: abs(z - complex(*box.center)))
+                zeta = mpmath.conj(lam) / lam
+                assert flag.kind == ROOT_OF_UNITY
+                assert flag.order == m // math.gcd(m, 2)
+                assert abs(mpmath.polyval(cyclotomic(flag.order).coeffs[::-1], zeta)) < 1e-40
+                for d in range(1, flag.order):
+                    if flag.order % d == 0:
+                        assert abs(zeta**d - 1) > 1e-3
+                checked += 1
+        assert checked == p.degree
+
+    def test_reversal_keeps_the_flags(self):
+        # chi of A^-1 is the monic reversal of chi_A; 1/lambda has the
+        # conjugate ratio 1/zeta = conj(zeta), of the same order
+        rng = random.Random(33)
+        checked = 0
+        for _ in range(15):
+            middle = [rng.randint(-3, 3) for _ in range(rng.choice([1, 2, 3]))]
+            p = IntPoly([rng.choice((-1, 1)), *middle, 1])
+            q = IntPoly(tuple(c * p.constant for c in reversed(p.coeffs)))
+            flags = sorted(_pair_flags(p), key=repr)
+            assert flags == sorted(_pair_flags(q), key=repr)
+            checked += len(flags)
+        assert checked >= 5
+
+
+class TestPowerWalk:
+    """The dyadic disks of _power_disks and the axis test that screens them."""
+
+    def test_misses_axis_against_fractions(self):
+        rng = random.Random(787)
+        disks = [_dyadic_disk(rng) for _ in range(400)]
+        # a disk tangent to the axis meets it; one a unit further out misses
+        disks += [(0, 3, 2, 2), (0, -3, 2, 2), (5, 4, 2, 0), (5, 5, 2, 0), (0, 0, 0, 9)]
+        for x, y, b, e in disks:
+            want = abs(Fraction(y, 1 << b)) > Fraction(1, 1 << e)
+            assert spectra._misses_axis((x, y, b, e)) == want
+
+    @pytest.mark.parametrize("coeffs", [
+        (-1, 0, 0, 2, 0, 0, 1),  # pairs at |lambda| < 1 and > 1
+        (4, 0, 1),  # 2i
+        (1, 0, 4),  # i/2
+        (-1, 1, 1, 1),  # HP_CHAR, |lambda| > 1
+    ])
+    def test_relative_radius_grows_linearly(self, coeffs):
+        # The radius of the m-th disk over the modulus of its centre stays
+        # within a few bits of m*r/|c|, r = 2^-e the handle's radius: the
+        # mantissa follows the handle, and no step loses a constant factor.
+        checked = 0
+        for h in _ordered_handles(IntPoly(coeffs)):
+            if h.is_real:
+                continue
+            c = math.log2(math.hypot(h.x, h.y)) - h.bits
+            for m, (x, y, b, e) in zip(range(1, 401), spectra._power_disks(h)):
+                centre = math.log2(math.hypot(x, y)) - b
+                assert -e - centre <= math.log2(m) - h.e - c + 3
+                checked += 1
+        assert checked >= 400
+
+
 class TestSpectralSummary:
     def test_negative_precision_rejected(self):
         for bits in (-1, -1000):
