@@ -13,8 +13,6 @@ from .degree import (
     degree,
     degree_sequence,
     dual_degree_sequence,
-    functional_set,
-    functional_value,
 )
 from .errors import (
     DimensionMismatch,

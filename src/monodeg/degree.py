@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
 
-from .errors import DimensionMismatch, NotUnimodular, RankDeficient
+from .errors import NotUnimodular, RankDeficient
 from .exact import IntMatrix, Rows, _multiplier, det, inverse_unimodular
 
 
@@ -43,18 +42,6 @@ class FunctionalIndex:
                 raise ValueError(f"functional component {c} out of range 0..{k}")
         object.__setattr__(self, "choices", ch)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.choices) - 1
-
-    @property
-    def row_choice(self) -> int:
-        return self.choices[0]
-
-    @property
-    def column_choices(self) -> tuple[int, ...]:
-        return self.choices[1:]
-
 
 @dataclass(frozen=True)
 class DegreeSequence:
@@ -70,27 +57,6 @@ class DegreeSequence:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def functional_set(k: int) -> list[FunctionalIndex]:
-    """All (k+1)^(k+1) functional indices in lexicographic order."""
-    if k < 1:
-        raise ValueError("dimension must be at least 1")
-    return [FunctionalIndex(c) for c in product(range(k + 1), repeat=k + 1)]
-
-
-def functional_value(c: FunctionalIndex, a: IntMatrix) -> int:
-    """Value of the linear functional indexed by ``c`` at the matrix ``a``."""
-    if c.dimension != a.k:
-        raise DimensionMismatch(
-            f"functional of dimension {c.dimension} applied to {a.k}x{a.k} matrix"
-        )
-    c0 = c.row_choice
-    total = sum(a.rows[c0 - 1]) if c0 else 0
-    for j, cj in enumerate(c.column_choices):
-        if cj:
-            total -= a.rows[cj - 1][j]
-    return total
 
 
 def degree(a: IntMatrix) -> int:
@@ -204,8 +170,6 @@ def dual_degree_sequence(a: IntMatrix, n: int) -> DegreeSequence:
 __all__ = [
     "FunctionalIndex",
     "DegreeSequence",
-    "functional_set",
-    "functional_value",
     "degree",
     "degree_sequence",
     "dual_degree_sequence",

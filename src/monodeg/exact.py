@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -77,9 +78,6 @@ class IntPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     # -- ring operations ----------------------------------------------
 
@@ -154,10 +152,6 @@ class IntPoly:
         p = self.primitive()
         return -p if p.lc < 0 else p
 
-    def reversed_coeffs(self) -> IntPoly:
-        """Coefficient reversal x^deg * p(1/x)."""
-        return IntPoly(tuple(reversed(self.coeffs)))
-
     def exact_div(self, other: IntPoly) -> IntPoly:
         """Exact polynomial division; raises ArithmeticError when not exact."""
         if other.is_zero:
@@ -182,14 +176,6 @@ class IntPoly:
         if any(rem):
             raise ArithmeticError("exact_div: nonzero remainder")
         return IntPoly(q)
-
-    def divides(self, other: IntPoly) -> bool:
-        """True when self divides other in Z[x] (self must be nonzero)."""
-        try:
-            other.exact_div(self)
-            return True
-        except ArithmeticError:
-            return False
 
     def __str__(self) -> str:
         return self.format()
@@ -319,14 +305,27 @@ def orders_with_phi_at_most(bound: int) -> tuple[int, ...]:
     """All m with phi(m) <= bound (Euler's totient), ascending; computed once
     per bound.
 
-    phi(m) >= sqrt(m/2), so m <= 2*bound^2 is a safe enumeration cap.  One
-    sieve gives every phi(m) up to the cap: phi(m) = m * prod (1 - 1/p) over
-    the primes p dividing m, and a prime p is an index the sieve has not
-    reduced by the time it is reached.
+    phi(m) >= sqrt(m/2), so N = 2*bound^2 caps every such m, and the
+    primorial bound lowers the cap.  Let r be the most primes whose product
+    is at most N, and c(N) = prod p/(p - 1) over the first r primes.  An
+    m <= N has at most r distinct prime factors, and p/(p - 1) falls as p
+    grows, so m/phi(m) = prod_(p | m) p/(p - 1) <= c(N): phi(m) <= bound
+    gives m <= bound*c(N).  N <- floor(bound*c(N)) is repeated while N
+    falls.  One sieve then gives every phi(m) up to N: phi(m) = m * prod
+    (1 - 1/p) over the primes p dividing m, and a prime p is an index the
+    sieve has not reduced by the time it is reached.
     """
     if bound < 1:
         return ()
     cap = 2 * bound * bound
+    while True:
+        primorial, totient, p = 1, 1, 2
+        while primorial * p <= cap:
+            primorial, totient = primorial * p, totient * (p - 1)
+            p = next(q for q in itertools.count(p + 1) if all(q % f for f in range(2, q)))
+        if bound * primorial // totient >= cap:
+            break
+        cap = bound * primorial // totient
     phi = list(range(cap + 1))
     for p in range(2, cap + 1):
         if phi[p] == p:

@@ -10,11 +10,11 @@ eigenvalues and are built from integer power sums with Newton's identities,
 not from resultants.
 
 Certified numeric layer: root isolation with dyadic centers and radii.
-Floating point only proposes starting points: a double-precision Aberth
-iteration when every coefficient is exact in a double, escalating to mpmath at
-growing precision when the coefficients are larger or the double-precision
-starts do not certify.  Every assertion (containment, disjointness, realness,
-modulus comparisons) is established in exact arithmetic:
+Approximations only propose starting points, all from one Aberth iteration:
+in doubles first, then, while no starts have certified, in Gaussian
+dyadics at 128, 256, ... bits (the escalation).  Every assertion
+(containment, disjointness, realness, modulus comparisons) is established in
+exact arithmetic:
 
 * a candidate center c with p'(c) != 0 certifies a root within the Newton
   inclusion radius d*|p(c)|/|p'(c)| of c, because p'/p = sum 1/(c - root_i);
@@ -23,7 +23,7 @@ modulus comparisons) is established in exact arithmetic:
 * the one root in a disk centred on the real axis is real, since the disk
   also holds the conjugate of each root it holds (p has real coefficients).
 
-From the float starts on, everything runs on dyadic integers: a centre
+From the starts on, everything runs on dyadic integers: a centre
 (x + iy)/2^bits, a radius 2^-e, a tolerance as the least e it needs.
 Fraction appears only where a RootBox is built (_boxes_from_ordered), in
 isolate_roots' eps and in reciprocal_summary, which maps RootBoxes.
@@ -49,8 +49,8 @@ a squarefree integer polynomial is a nonzero integer) bounds the refinement
 depth at which disjointness must succeed, so isolation always terminates.
 Decision loops (modulus matching, ratio attribution) additionally honour a
 configurable refinement cap, default radius 2^-256, beyond which they raise
-UnresolvedCertification rather than guess; so does isolation when neither
-proposer yields starts that certify.
+UnresolvedCertification rather than guess; so does isolation when no
+proposal yields starts that certify.
 
 The last summary computed is held for the next call: a call on equal rows
 with the same refinement cap reads it, so the forward and the dual verdict
@@ -92,6 +92,7 @@ UNRESOLVED = "UNRESOLVED"
 _DEFAULT_EPS_BITS = 64
 _ABERTH_STEPS = 100
 _ABERTH_BITS = 64
+_DYADIC_BITS = tuple(128 << i for i in range(7))
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +111,55 @@ def _float_dyadic(v: float, bits: int) -> int:
     return _round_div(n << bits, d)
 
 
-def _mpf_dyadic(v, bits: int) -> int:
-    """_float_dyadic of an mpf, (-1)^sign*man*2^exp (man_exp drops the sign)."""
-    sign, man, exp, _ = v._mpf_
-    return _round_div((-man if sign else man) << max(0, exp + bits), 1 << max(0, -exp - bits))
+class _Dyadic:
+    """The Gaussian dyadic (x + iy)/2^bits: the number type of the escalation.
+    Products and quotients round to bits, ties upward; an int operand is
+    exact.  abs and imag are floats of the quotients x/2^bits and y/2^bits,
+    so no int is converted to a float whole."""
+
+    __slots__ = ("x", "y", "bits")
+
+    def __init__(self, x: int, y: int, bits: int):
+        self.x, self.y, self.bits = x, y, bits
+
+    def _parts(self, other) -> tuple[int, int]:
+        if isinstance(other, _Dyadic):
+            return other.x, other.y
+        return other << self.bits, 0
+
+    def __add__(self, other) -> _Dyadic:
+        x, y = self._parts(other)
+        return _Dyadic(self.x + x, self.y + y, self.bits)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> _Dyadic:
+        x, y = self._parts(other)
+        return _Dyadic(self.x - x, self.y - y, self.bits)
+
+    def __mul__(self, other) -> _Dyadic:
+        (x, y), b = self._parts(other), self.bits
+        return _Dyadic(_round_div(self.x * x - self.y * y, 1 << b),
+                       _round_div(self.x * y + self.y * x, 1 << b), b)
+
+    def __truediv__(self, other) -> _Dyadic:
+        (x, y), b = self._parts(other), self.bits
+        n = x * x + y * y
+        return _Dyadic(_round_div((self.x * x + self.y * y) << b, n),
+                       _round_div((self.y * x - self.x * y) << b, n), b)
+
+    def __rtruediv__(self, other) -> _Dyadic:
+        return _Dyadic(*self._parts(other), self.bits) / self
+
+    def __eq__(self, other) -> bool:
+        return (self.x, self.y) == self._parts(other)
+
+    def __abs__(self) -> float:
+        return math.hypot(self.x / (1 << self.bits), self.y / (1 << self.bits))
+
+    @property
+    def imag(self) -> float:
+        return self.y / (1 << self.bits)
 
 
 def _separation_bits(p: IntPoly) -> int:
@@ -336,91 +382,95 @@ def _certify_layout(handles: list, e_min: int, max_rounds: int) -> bool:
     return False
 
 
-def _aberth_starts(p: IntPoly):
-    """Starting points (x, y, is_real) at _ABERTH_BITS from a double-precision
-    Aberth iteration, or None (escalate to mpmath): one real start (y = 0) per
-    approximation within its error estimate of the axis, one upper half-plane
-    start per approximation above the axis by more than that.
+def _aberth(c: list, a: list[float], z: list, eps: float, mag) -> list[float]:
+    """Aberth's iteration on the approximations z, in place, for the
+    polynomial with descending coefficients c, in the arithmetic of z's type
+    (complex or _Dyadic); then an error estimate for each: the Newton
+    inclusion radius, |p| and |p'| read by mag, plus a Horner rounding bound
+    on the float coefficients a.  ZeroDivisionError and OverflowError pass."""
+    d = len(c) - 1
 
-    Only tried when every coefficient is exact in a double.  The result must
-    look clean in floating point: the error estimates (Newton inclusion radius
-    plus a Horner rounding bound) of any two approximations sum to less than a
-    quarter of their distance, and as many approximations lie above the axis
-    as below it.
-    """
-    if any(abs(c) >= 1 << 53 for c in p.coeffs):
-        return None
-    d = p.degree
-    a = [float(c) for c in reversed(p.coeffs)]  # descending powers
-
-    def horner(z):
-        pv = dv = 0j
-        for c in a:
-            dv = dv * z + pv
-            pv = pv * z + c
+    def horner(zi):
+        pv = dv = zi - zi  # the zero of zi's type
+        for cj in c:
+            dv = dv * zi + pv
+            pv = pv * zi + cj
         return pv, dv
 
-    rho = abs(a[-1] / a[0]) ** (1.0 / d) if a[-1] else 1.0
-    z = [rho * cmath.exp(1j * (2 * math.pi * i / d + 0.4)) for i in range(d)]
-    try:
-        for _ in range(_ABERTH_STEPS):
-            moved = False
-            for i, zi in enumerate(z):
-                pv, dv = horner(zi)
-                if pv == 0:
-                    continue
-                w = 1 / (dv / pv - sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
-                z[i] = zi - w
-                moved = moved or abs(w) > 2.0 ** -50 * abs(zi)
-            if not moved:
-                break
-        err = []
-        for zi in z:
+    for _ in range(_ABERTH_STEPS):
+        moved = False
+        for i, zi in enumerate(z):
             pv, dv = horner(zi)
-            scale = 0.0
-            for c in a:
-                scale = scale * abs(zi) + abs(c)
-            err.append(d * (abs(pv) + d * 2.0 ** -50 * scale) / abs(dv))
-    except (ZeroDivisionError, OverflowError):
+            if pv == 0:
+                continue
+            w = 1 / (dv / pv - sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
+            z[i] = zi - w
+            moved = moved or abs(w) > eps * abs(zi)
+        if not moved:
+            break
+    err = []
+    for zi in z:
+        pv, dv = horner(zi)
+        scale = 0.0
+        for aj in a:
+            scale = scale * abs(zi) + abs(aj)
+        err.append(d * (mag(pv) + d * eps * scale) / mag(dv))
+    return err
+
+
+def _aberth_starts(p: IntPoly, bits: int | None = None):
+    """(starts, bits') with starting points (x, y, is_real) at bits' from
+    Aberth's iteration, or None: one real start (y = 0) per approximation
+    within its error estimate of the axis, one upper half-plane start per
+    approximation above the axis by more than that.
+
+    With bits None the iteration runs in doubles, each coefficient rounded
+    once (which moves p(z) by less than the rounding bound d*2^-50*sum
+    |a_j||z|^j), and the starts come at _ABERTH_BITS.  Otherwise it
+    runs in _Dyadic at bits, on q(y) = p(2^s*y)*2^max(0, -s*d), whose
+    integer coefficients are exact.  2^s bounds the roots of p by Fujiwara's
+    2*max_(j<d) |p_j/p_d|^(1/(d-j)), with |p_j/p_d| < 2^(len p_j - len p_d +
+    1) read off the bit lengths, so the roots of q lie in the unit disk and
+    bits is their absolute precision.  The floats read q over a common 2^t,
+    which keeps them finite, and a start y comes back exactly as y*2^s.
+
+    The result must look clean: the error estimates of any two
+    approximations sum to less than a quarter of their distance, and as
+    many approximations lie above the axis as below it.
+    """
+    d, s, t, q = p.degree, 0, 0, p.coeffs[::-1]  # q descending
+    if bits is not None:
+        lens = [abs(v).bit_length() for v in p.coeffs]
+        s = 1 + max((-((lens[d] - n - 1) // (d - j)) for j, n in enumerate(lens[:d]) if n),
+                    default=0)
+        q = [v << (s * j - min(s, 0) * d) for j, v in enumerate(p.coeffs)][::-1]
+        t = max(abs(v).bit_length() for v in q)
+    try:
+        a = [v / (1 << t) for v in q]
+        rho = abs(a[-1] / a[0]) ** (1.0 / d) if a[-1] else 1.0
+        z = [rho * cmath.exp(1j * (2 * math.pi * i / d + 0.4)) for i in range(d)]
+        if bits is None:
+            b, err = _ABERTH_BITS, _aberth(a, a, z, 2.0 ** -50, abs)
+        else:
+            b = bits
+            z = [_Dyadic(_float_dyadic(zi.real, b), _float_dyadic(zi.imag, b), b) for zi in z]
+            err = _aberth(q, a, z, 2.0 ** (8 - b), lambda v: abs(_Dyadic(v.x, v.y, b + t)))
+        clean = all(abs(z[i] - z[j]) > 4 * (err[i] + err[j])  # also rejects nan
+                    for i in range(d) for j in range(i + 1, d))
+    except (ZeroDivisionError, OverflowError):  # also a coefficient past the doubles
         return None
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not abs(z[i] - z[j]) > 4 * (err[i] + err[j]):  # also rejects nan
-                return None
-    b = _ABERTH_BITS
-    reals = [(_float_dyadic(zi.real, b), 0, True) for zi, e in zip(z, err) if abs(zi.imag) <= e]
-    ups = [(_float_dyadic(zi.real, b), _float_dyadic(zi.imag, b), False)
-           for zi, e in zip(z, err) if zi.imag > e]
+    if not clean:
+        return None
+    reals, ups = [], []
+    for zi, e in zip(z, err):
+        x, y = (zi.x, zi.y) if bits else (_float_dyadic(zi.real, b), _float_dyadic(zi.imag, b))
+        if abs(zi.imag) <= e:
+            reals.append((x << max(s, 0), 0, True))
+        elif zi.imag > e:
+            ups.append((x << max(s, 0), y << max(s, 0), False))
     if len(reals) + 2 * len(ups) != d:
         return None
-    return reals + ups
-
-
-def _complex_starts(p: IntPoly, dps: int, bits: int):
-    """Starting points (x, y, is_real) at bits from mpmath at dps digits, or
-    None to retry: one per root on the axis (polyroots sets the imaginary
-    part of near-real roots to 0) and one per root in the upper half-plane."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        try:
-            roots = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(p.coeffs)],
-                maxsteps=500,
-                extraprec=2 * dps,
-            )
-        except Exception:
-            return None
-        out = []
-        for z in roots:
-            re, im = mpmath.re(z), mpmath.im(z)
-            if not (mpmath.isfinite(re) and mpmath.isfinite(im)):
-                return None
-            if im >= 0:
-                out.append((_mpf_dyadic(re, bits), _mpf_dyadic(im, bits), im == 0))
-        if sum(1 if is_real else 2 for _, _, is_real in out) != p.degree:
-            return None
-        return out
+    return reals + ups, b - min(s, 0)
 
 
 def _refine_budget(p: IntPoly, e_min: int) -> int:
@@ -431,33 +481,14 @@ def _refine_budget(p: IntPoly, e_min: int) -> int:
     return _separation_bits(p) + e_min + 96
 
 
-def _proposals(p: IntPoly):
-    """Starting points (one per real root and one per conjugate pair), each
-    set with the dyadic precision of its handles: double-precision Aberth
-    first, then mpmath at growing precision (the escalation path; mpmath is
-    imported only when it is reached).
-
-    mpmath starts keep the about 3.3*dps bits that mpmath resolved at dps
-    digits, plus a guard: fewer bits would round roots that mpmath
-    separated onto one start and cost another escalation."""
-    starts = _aberth_starts(p)
-    if starts is not None:
-        yield starts, _ABERTH_BITS
-    coeff_bits = max(abs(c).bit_length() for c in p.coeffs)
-    dps = max(30, coeff_bits // 3 + 15)
-    for _ in range(7):
-        bits = math.ceil(dps * math.log2(10)) + 8
-        starts = _complex_starts(p, dps, bits)
-        if starts is not None:
-            yield starts, bits
-        dps *= 2
-
-
 def _isolate_handles(p: IntPoly, e_min: int, multiplicity: int = 1) -> list:
     """Certified handles, radii at most 2^-e_min, for all roots of a
-    squarefree polynomial."""
-    for starts, bits in _proposals(p):
-        handles = [_Handle(p, s, bits, multiplicity) for s in starts]
+    squarefree polynomial, from the first proposal whose starts certify:
+    Aberth's iteration in doubles, then in Gaussian dyadics at each
+    precision of _DYADIC_BITS (the escalation)."""
+    proposals = (_aberth_starts(p, bits) for bits in (None, *_DYADIC_BITS))
+    for starts, at in filter(None, proposals):
+        handles = [_Handle(p, st, at, multiplicity) for st in starts]
         if _certify_layout(handles, e_min, _refine_budget(p, e_min)):
             return handles
     raise UnresolvedCertification("root isolation did not converge")

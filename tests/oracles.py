@@ -7,7 +7,8 @@ These deliberately avoid the production code paths they check:
 * mat_mul sums each entry index by index and mat_pow squares, instead of the
   package's one power walk with a multiplier compiled for the matrix;
 * euler_phi factors m by trial division instead of reading phi off one
-  totient sieve;
+  totient sieve, and orders_sieve_oracle sieves every m up to 2*bound^2
+  instead of stopping at the package's primorial cap;
 * achieving_cells materialises every functional attaining the degree as a
   product of per-max argmax sets, and canonical_cell takes its least
   member, instead of the package's one pass over the maxima;
@@ -35,8 +36,10 @@ These deliberately avoid the production code paths they check:
   around lambda^m.
 
 The small polynomial helpers (poly_from_roots, poly_pow, cyclotomic,
-eval_fraction, eval_gaussian, poly_at_matrix) build test inputs and evaluate
-them exactly, check_candidate verifies a monic polynomial as a recurrence,
+eval_fraction, eval_gaussian, poly_at_matrix, coeff, reversal, divides)
+build test inputs and evaluate them exactly, functional_set and
+functional_value enumerate and evaluate the branch functionals of the
+degree formula, check_candidate verifies a monic polynomial as a recurrence,
 root_bound_pow2 bounds its roots by a power of two, and pair_flags_vs_oracle
 lines a summary's pair flags up against unity_order_oracle; the package has
 no use for them.
@@ -86,6 +89,18 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def orders_sieve_oracle(bound: int) -> tuple[int, ...]:
+    """All m with phi(m) <= bound, from one totient sieve over every m up to
+    2*bound^2 (phi(m) >= sqrt(m/2)), with no primorial cap."""
+    cap = 2 * bound * bound
+    phi = list(range(cap + 1))
+    for p in range(2, cap + 1):
+        if phi[p] == p:
+            for m in range(p, cap + 1, p):
+                phi[m] -= phi[m] // p
+    return tuple(m for m in range(1, cap + 1) if phi[m] <= bound)
+
+
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
     """Exact n-th power by repeated squaring, n >= 0 (A^0 is the identity)."""
     if n < 0:
@@ -125,6 +140,46 @@ def achieving_cells(a: IntMatrix) -> set[FunctionalIndex]:
 def canonical_cell(a: IntMatrix) -> FunctionalIndex:
     """The lexicographically least achieving functional."""
     return min(achieving_cells(a))
+
+
+def functional_set(k: int) -> list[FunctionalIndex]:
+    """All (k+1)^(k+1) functional indices in lexicographic order."""
+    if k < 1:
+        raise ValueError("dimension must be at least 1")
+    return [FunctionalIndex(c) for c in product(range(k + 1), repeat=k + 1)]
+
+
+def functional_value(c: FunctionalIndex, a: IntMatrix) -> int:
+    """Value of the linear functional indexed by ``c`` at the matrix ``a``."""
+    c0, columns = c.choices[0], c.choices[1:]
+    if len(columns) != a.k:
+        raise DimensionMismatch(
+            f"functional of dimension {len(columns)} applied to {a.k}x{a.k} matrix"
+        )
+    total = sum(a.rows[c0 - 1]) if c0 else 0
+    for j, cj in enumerate(columns):
+        if cj:
+            total -= a.rows[cj - 1][j]
+    return total
+
+
+def coeff(p: IntPoly, i: int) -> int:
+    """The coefficient of x^i in p (0 outside its degree range)."""
+    return p.coeffs[i] if 0 <= i < len(p.coeffs) else 0
+
+
+def reversal(p: IntPoly) -> IntPoly:
+    """Coefficient reversal x^deg * p(1/x)."""
+    return IntPoly(tuple(reversed(p.coeffs)))
+
+
+def divides(a: IntPoly, b: IntPoly) -> bool:
+    """True when the nonzero a divides b in Z[x]."""
+    try:
+        b.exact_div(a)
+        return True
+    except ArithmeticError:
+        return False
 
 
 def poly_from_roots(roots: list[int]) -> IntPoly:
@@ -344,14 +399,19 @@ def mpf_fraction(x) -> Fraction:
 
 def polyroots_oracle(p: IntPoly, dps: int = 100) -> list[tuple[Fraction, Fraction]]:
     """All complex roots of p as exact (re, im) values of dps-digit
-    approximations."""
+    approximations.  They are found as the roots of p(2^e*y), 2^e =
+    root_bound_pow2(p), which lie in the unit disk, where mpmath's starting
+    circle is, and scaled back by 2^e."""
     import mpmath
 
+    e = root_bound_pow2(p).bit_length() - 1
     with mpmath.workdps(dps):
         roots = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=400, extraprec=4 * dps
+            [mpmath.ldexp(mpmath.mpf(c), e * j) for j, c in reversed(list(enumerate(p.coeffs)))],
+            maxsteps=400, extraprec=4 * dps,
         )
-        return [(mpf_fraction(mpmath.re(z)), mpf_fraction(mpmath.im(z))) for z in roots]
+        return [(mpf_fraction(mpmath.ldexp(mpmath.re(z), e)), mpf_fraction(mpmath.ldexp(mpmath.im(z), e)))
+                for z in roots]
 
 
 def random_matrix(rng: random.Random, k: int, lo: int, hi: int) -> IntMatrix:
@@ -513,7 +573,7 @@ def root_bound_pow2(p: IntPoly) -> int:
     lc_bits = abs(p.lc).bit_length()
     e = 1
     for i in range(d):
-        ci = abs(p.coeff(i))
+        ci = abs(coeff(p, i))
         if ci == 0:
             continue
         num = ci.bit_length() - lc_bits + 1

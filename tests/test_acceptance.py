@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from monodeg.cells import PERIODIC, STABILIZED, cell_trace
-from monodeg.degree import degree, degree_sequence, functional_set
+from monodeg.degree import degree, degree_sequence
 from monodeg.exact import IntPoly, char_poly
 from monodeg.recur import berlekamp_massey, find_recurrence
 from monodeg.spectra import (
@@ -41,6 +41,7 @@ from conftest import (
 )
 from oracles import (
     check_candidate,
+    functional_set,
     homogenization_degree,
     pair_flags_vs_oracle,
     random_rank_matrix,

@@ -15,7 +15,6 @@ from monodeg.degree import (
     degree,
     degree_sequence,
     dual_degree_sequence,
-    functional_value,
 )
 from monodeg.errors import RankDeficient
 from monodeg.exact import IntMatrix, _multiplier, det
@@ -27,7 +26,13 @@ from conftest import (
     TRIBONACCI_COMPANION,
     evict_walk,
 )
-from oracles import achieving_cells, homogenization_degree, mat_pow, random_rank_matrix
+from oracles import (
+    achieving_cells,
+    functional_value,
+    homogenization_degree,
+    mat_pow,
+    random_rank_matrix,
+)
 
 # the package exports a function named ``degree``, so fetch the module itself
 degree_module = importlib.import_module("monodeg.degree")

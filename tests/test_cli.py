@@ -328,8 +328,7 @@ class TestStrictMode:
     def test_isolation_failure_exit_code(self, monkeypatch):
         import monodeg.spectra as spectra_mod
 
-        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p, bits=None: None)
         code, out = run_cli(["verdict", "-m", "[[1,-2],[1,1]]", "--strict"])
         assert code == 4
         assert "UNKNOWN" in out

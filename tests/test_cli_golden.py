@@ -65,8 +65,7 @@ COMMANDS = {
 
 def _no_starts(mp) -> None:
     """Root isolation finds no starts: every spectrum stays unresolved."""
-    mp.setattr(spectra_mod, "_aberth_starts", lambda p: None)
-    mp.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
+    mp.setattr(spectra_mod, "_aberth_starts", lambda p, bits=None: None)
 
 
 def _unresolved_flags(mp) -> None:

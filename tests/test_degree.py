@@ -8,8 +8,6 @@ from monodeg.degree import (
     degree,
     degree_sequence,
     dual_degree_sequence,
-    functional_set,
-    functional_value,
 )
 from monodeg.errors import DimensionMismatch, NotUnimodular, RankDeficient
 from monodeg.exact import IntMatrix
@@ -17,6 +15,8 @@ from monodeg.exact import IntMatrix
 from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE
 from oracles import (
     achieving_cells,
+    functional_set,
+    functional_value,
     homogenization_degree,
     mat_mul,
     mat_pow,

@@ -24,13 +24,16 @@ from conftest import NO_RECURRENCE_3X3, NO_RECURRENCE_INVERSE, TRIBONACCI_COMPAN
 from oracles import (
     _bareiss_det_poly,
     cyclotomic,
+    divides,
     euler_phi,
     eval_fraction,
     mat_mul,
     mat_pow,
+    orders_sieve_oracle,
     poly_at_matrix,
     poly_from_roots,
     random_matrix,
+    reversal,
 )
 from test_spectra_golden import MATRICES as GOLDEN_MATRICES
 
@@ -214,7 +217,7 @@ class TestCharPoly:
             a = random_unimodular(rng, k)
             p = char_poly(a)
             q = char_poly(inverse_unimodular(a))
-            rev = p.reversed_coeffs()
+            rev = reversal(p)
             # char_poly(A^-1) equals the reversal of char_poly(A) up to sign
             assert q == rev or q == -rev
 
@@ -255,7 +258,7 @@ class TestPseudoRem:
             b = IntPoly([rng.randint(-9, 9) for _ in range(3)] + [rng.randint(-9, -1)])
             r = IntPoly(_pseudo_rem(a.coeffs, b.coeffs))
             assert r.degree < b.degree
-            assert b.divides(a * IntPoly((b.lc ** (a.degree - b.degree + 1),)) - r)
+            assert divides(b, a * IntPoly((b.lc ** (a.degree - b.degree + 1),)) - r)
 
     def test_lower_degree_dividend_rejected(self):
         with pytest.raises(ValueError):
@@ -288,8 +291,8 @@ class TestPolyGcd:
             common = poly_from_roots([rng.randint(-3, 3)])
             f = common * poly_from_roots([rng.randint(4, 8)])
             g = common * poly_from_roots([rng.randint(-8, -4)])
-            assert poly_gcd(f, g).divides(f)
-            assert common.divides(poly_gcd(f, g))
+            assert divides(poly_gcd(f, g), f)
+            assert divides(common, poly_gcd(f, g))
 
 
 class TestCyclotomic:
@@ -340,6 +343,13 @@ def test_totient_sieve_matches_trial_division():
         assert orders_with_phi_at_most(bound) == tuple(
             m for m in range(1, len(phi)) if phi[m] <= bound
         )
+
+
+@pytest.mark.parametrize("bound", [2, 6, 12, 30, 90, 240, 380, 552])
+def test_primorial_cap_keeps_every_order(bound):
+    # the bounds d*(d - 1) for squarefree parts of degree 2, 3, 4, 6, 10, 16,
+    # 20 and 24; the reference sieves all the way to 2*bound^2
+    assert orders_with_phi_at_most(bound) == orders_sieve_oracle(bound)
 
 
 class TestPowerSums:

@@ -40,6 +40,7 @@ from monodeg.spectra import (
 from conftest import NO_RECURRENCE_3X3, PAIR_2X2, QUARTER_ROTATION
 from oracles import (
     FractionHandle,
+    coeff,
     cyclotomic,
     eval_gaussian,
     fraction_start,
@@ -47,7 +48,6 @@ from oracles import (
     modsq_interval_oracle,
     modulus_classes_oracle,
     modulus_ranking_oracle,
-    mpf_fraction,
     pair_flags_vs_oracle,
     polyroots_oracle,
     poly_pow,
@@ -173,12 +173,12 @@ class TestIsolateRoots:
                 assert dx * dx + dy * dy <= rr * rr
 
 
-def _assert_isolates(p, boxes):
-    """Each box holds exactly one root of the 100-digit oracle, a box flagged
+def _assert_isolates(p, boxes, dps=100):
+    """Each box holds exactly one root of the dps-digit oracle, a box flagged
     real holds a real one, as many boxes as oracle roots are real, and the
     boxes (conjugate mirrors included) are pairwise disjoint."""
     assert len(boxes) == p.degree
-    roots = polyroots_oracle(p)
+    roots = polyroots_oracle(p, dps)
     for b in boxes:
         inside = [
             (x, y) for x, y in roots
@@ -338,21 +338,38 @@ class TestIntegerHandle:
                 assert spectra._disjoint(d1, d2) == bool(gap) == _disjoint_fraction(d1, d2)
 
 
+def _spy_proposals(monkeypatch) -> list:
+    """The bits of each _aberth_starts call from here on (None: doubles)."""
+    calls = []
+    starts = spectra._aberth_starts
+
+    def spy(p, bits=None):
+        calls.append(bits)
+        return starts(p, bits)
+
+    monkeypatch.setattr(spectra, "_aberth_starts", spy)
+    return calls
+
+
 class TestProposers:
-    def test_large_coefficient_escalates_to_mpmath(self, monkeypatch):
-        calls = []
-        mp_starts = spectra._complex_starts
-
-        def spy(p, dps, bits):
-            calls.append(dps)
-            return mp_starts(p, dps, bits)
-
-        monkeypatch.setattr(spectra, "_complex_starts", spy)
+    def test_large_coefficient_gets_float_starts(self, monkeypatch):
+        # each coefficient is rounded once to a double; the starts certify
+        # with no escalation
+        calls = _spy_proposals(monkeypatch)
         for p in (IntPoly((2**60 + 1, 1, 1)), IntPoly((1, 2**53, 0, 1))):
-            assert spectra._aberth_starts(p) is None
             calls.clear()
             _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
-            assert calls
+            assert calls == [None]
+
+    def test_coefficient_past_2_1023_reaches_the_dyadic_path(self, monkeypatch):
+        # no double holds 2^1100, so the doubles give no starts and the
+        # first dyadic precision does
+        calls = _spy_proposals(monkeypatch)
+        for p in (IntPoly((2**1100 + 1, 1, 1)), IntPoly((1, 2**1100, 0, 1))):
+            assert spectra._aberth_starts(p) is None
+            calls.clear()
+            _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)), dps=400)
+            assert calls == [None, 128]
 
     def test_boxes_match_oracle_on_random_squarefree(self):
         rng = random.Random(2007)
@@ -373,9 +390,9 @@ class TestProposers:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_mignotte_clusters(self, n, a, sign):
         # x^n - 2(ax - 1)^2 has two real roots near 1/a, x^n + 2(ax - 1)^2 a
-        # non-real pair there, closer to each other as a grows; at a = 10^6
-        # and 10^9 the first mpmath starts merge or land on the axis, so
-        # isolation has to give up on them and escalate
+        # non-real pair there, closer to each other as a grows; from a = 100
+        # (n = 11) and a = 1000 (n = 5) on the double-precision starts do not
+        # look clean, so isolation has to escalate
         c = [0] * (n + 1)
         c[n] = 1
         for i, v in enumerate((-2, 4 * a, -2 * a * a)):
@@ -383,22 +400,15 @@ class TestProposers:
         p = IntPoly(tuple(c))
         _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
 
-    def test_clustered_roots_need_one_mpmath_call(self, monkeypatch):
+    def test_clustered_roots_escalate_to_256_bits(self, monkeypatch):
         # x^5 - 2(10^9 x - 1)^2 has two real roots about 4e-32 apart near
-        # 1e-9: mpmath separates them at 35 digits, and starts kept at the
-        # precision mpmath worked at stay apart, so no escalation follows
-        calls = []
-        mp_starts = spectra._complex_starts
-
-        def spy(p, dps, bits):
-            calls.append(dps)
-            return mp_starts(p, dps, bits)
-
-        monkeypatch.setattr(spectra, "_complex_starts", spy)
+        # 1e-9; its roots scaled into the unit disk (by 2^22) are about
+        # 2^-126 apart, closer than 128 bits resolve and not 256
+        calls = _spy_proposals(monkeypatch)
         a = 10**9
         p = IntPoly((-2, 4 * a, -2 * a * a, 0, 0, 1))
         _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
-        assert calls == [35]
+        assert calls == [None, 128, 256]
 
     def test_far_pair_and_small_real_root(self):
         x = IntPoly((0, 1))
@@ -407,9 +417,8 @@ class TestProposers:
         _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
 
     def test_no_proposer_is_unresolved(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra, "_complex_starts", lambda p, dps, bits: None)
-        # with no float starts even an all-real polynomial stays unresolved
+        monkeypatch.setattr(spectra, "_aberth_starts", lambda p, bits=None: None)
+        # with no starts even an all-real polynomial stays unresolved
         for p in (IntPoly((1, 0, 1)), IntPoly((6, -5, 1))):
             with pytest.raises(UnresolvedCertification):
                 isolate_roots(p, Fraction(1, 2**32))
@@ -430,9 +439,11 @@ class TestProposers:
 
 
 class TestDyadicStarts:
-    """The proposers round each approximation once, to integers at their own
-    precision; that must be the rounding of the approximation's exact
-    Fraction (oracles.fraction_start), ties upward."""
+    """A double approximation is rounded once, to integers at 64 bits; that
+    must be the rounding of its exact Fraction (oracles.fraction_start),
+    ties upward.  The escalation's _Dyadic rounds each operation to its own
+    bits, and the real/pair split reads each approximation before any
+    rounding."""
 
     def test_floats_round_as_their_fractions(self):
         rng = random.Random(1801)
@@ -448,53 +459,69 @@ class TestDyadicStarts:
             want = fraction_start((Fraction(v), Fraction(0)), 64)[0]
             assert spectra._float_dyadic(v, 64) == want, v
 
-    @pytest.mark.parametrize("dps", [30, 60, 120, 240, 480])
-    def test_mpfs_round_as_their_fractions(self, dps):
-        import mpmath
+    @pytest.mark.parametrize("bits", [0, 1, 64, 128, 333])
+    def test_dyadic_operations_round_as_their_fractions(self, bits):
+        # each operation lies within one unit at 2^-bits of its exact value
+        rng = random.Random(1803 + bits)
+        unit = Fraction(1, 1 << bits)
 
-        bits = math.ceil(dps * math.log2(10)) + 8  # the escalation's start precision
-        rng = random.Random(dps)
-        with mpmath.workdps(dps):
-            prec = mpmath.mp.prec
-            values = [mpmath.mpf(0)]
-            for _ in range(300):
-                man = rng.randint(-(1 << prec), 1 << prec)
-                values.append(mpmath.ldexp(mpmath.mpf(man), rng.randint(-3 * bits, bits)))
-            for _ in range(50):  # exact half-unit ties at bits, both signs
-                tie = mpmath.ldexp(mpmath.mpf(2 * rng.randint(0, 1 << 40) + 1), -bits - 1)
-                values += [tie, -tie]
-            for v in values:
-                want = fraction_start((mpf_fraction(v), Fraction(0)), bits)[0]
-                assert spectra._mpf_dyadic(v, bits) == want, v
+        def value(v) -> tuple[Fraction, Fraction]:
+            return (Fraction(v.x, 1 << v.bits), Fraction(v.y, 1 << v.bits))
 
-    def test_mpmath_starts_keep_the_exact_realness_test(self):
-        # is_real is polyroots' own verdict, an imaginary part exactly 0, and
-        # never a y that rounds to 0
-        import mpmath
+        def near(got, re, im) -> bool:
+            return abs(got[0] - re) <= unit and abs(got[1] - im) <= unit
 
-        a = 10**9
-        for p in (IntPoly((2**60 + 1, 1, 1)), IntPoly((1, 2**53, 0, 1)),
-                  IntPoly((-2, 4 * a, -2 * a * a, 0, 0, 1))):
-            for dps in (35, 70):
-                bits = math.ceil(dps * math.log2(10)) + 8
-                with mpmath.workdps(dps):
-                    roots = mpmath.polyroots(
-                        [mpmath.mpf(c) for c in reversed(p.coeffs)], maxsteps=500, extraprec=2 * dps
-                    )
-                    parts = [(mpf_fraction(mpmath.re(z)), mpf_fraction(mpmath.im(z))) for z in roots]
-                want = [fraction_start(z, bits) for z in parts if z[1] >= 0]
-                assert spectra._complex_starts(p, dps, bits) == want
+        def part() -> int:
+            return rng.choice((-1, 1)) * rng.randint(0, 1 << rng.choice((0, 3, bits, 2 * bits + 40)))
 
-    def test_tiny_imaginary_part_stays_a_pair(self, monkeypatch):
-        # an approximation 2^-400 above the axis rounds to y = 0 at 108 bits
-        # and is still the start of a pair
-        import mpmath
+        for _ in range(300):
+            u = spectra._Dyadic(part(), part(), bits)
+            v = spectra._Dyadic(part(), part(), bits)
+            n = rng.randint(-(1 << 70), 1 << 70)
+            (ur, ui), (vr, vi) = value(u), value(v)
+            assert value(u + v) == (ur + vr, ui + vi) == value(v + u)
+            assert value(n + u) == (ur + n, ui) == value(u + n)
+            assert value(u - v) == (ur - vr, ui - vi)
+            assert value(u - n) == (ur - n, ui)
+            assert near(value(u * v), ur * vr - ui * vi, ur * vi + ui * vr)
+            assert value(u * n) == (ur * n, ui * n)
+            assert (u == v) == ((ur, ui) == (vr, vi))
+            assert (u == n) == ((ur, ui) == (n, 0))
+            assert u.imag == float(ui)
+            assert abs(u) == pytest.approx(math.hypot(ur, ui), rel=1e-15)
+            m = vr * vr + vi * vi
+            if m:
+                assert near(value(u / v), (ur * vr + ui * vi) / m, (ui * vr - ur * vi) / m)
+                assert near(value(n / v), n * vr / m, -n * vi / m)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    u / v
 
-        tiny = mpmath.ldexp(mpmath.mpf(1), -400)
-        monkeypatch.setattr(mpmath, "polyroots", lambda *args, **kw: [
-            mpmath.mpc(1, tiny), mpmath.mpc(1, -tiny)
-        ])
-        assert spectra._complex_starts(IntPoly((2, -2, 1)), 30, 108) == [(1 << 108, 0, False)]
+    def test_dyadic_realness_split(self, monkeypatch):
+        # an approximation within its error estimate of the axis gives a real
+        # start, y = 0, one above the axis by more gives a pair start, its
+        # conjugate none; roots of q(y) = p(2^s*y) come back as y*2^s
+        p = IntPoly((-2, -1, -2, 1))  # (x - 2)(x^2 + x + 1), monic
+        b, half = 128, Fraction(1, 2)
+        re = [Fraction(2), -half, -half]
+        for im, err, want in [
+            ([Fraction(1, 2**90), half, -half], [2.0**-90, 2.0**-80, 2.0**-80], True),
+            ([Fraction(1, 2**80), half, -half], [2.0**-90, 2.0**-80, 2.0**-80], None),
+        ]:
+            def fake(c, a, z, eps, mag, im=im, err=err):
+                s = (c[0].bit_length() - 1) // p.degree  # q's leading coefficient is 2^(s*d)
+                z[:] = [spectra._Dyadic(*(int(v * 2**(b - s)) for v in w), b) for w in zip(re, im)]
+                return err
+
+            monkeypatch.setattr(spectra, "_aberth", fake)
+            got = spectra._aberth_starts(p, b)
+            if want is None:  # one start above the axis too many
+                assert got is None
+                continue
+            starts, at = got
+            assert [(Fraction(x, 1 << at), Fraction(y, 1 << at), real) for x, y, real in starts] == [
+                (re[0], 0, True), (re[1], im[1], False)
+            ]
 
     def test_integer_order_is_the_fraction_order(self):
         # mixed precisions, shared real parts, equal centres at different bits
@@ -518,47 +545,71 @@ class TestDyadicStarts:
             assert list(map(id, spectra._order_handles(handles))) == list(map(id, want))
 
 
-# Boxes of three summaries whose starts come from mpmath (coefficients of
-# chi_A beyond 2^53), each (re, im, radius, multiplicity, is_real, partner).
-_MPMATH_SEEDED_BOXES = {
-    ((10**9, 1, 0), (1, 10**9, 1), (0, 1, -(10**9))): [
-        ("-10633823966279326988547368465382420099615228241/10633823966279326983230456482242756608",
-         "0", "1/21267647932558653966460912964485513216", 1, True, None),
-        ("10633823955645503019609585491579052868403544417/10633823966279326983230456482242756608",
-         "0", "1/42535295865117307932921825928971026432", 1, True, None),
-        ("664613998557071934510514966002882739950730239/664613997892457936451903530140172288",
-         "0", "1/10633823966279326983230456482242756608", 1, True, None),
-    ],
-    ((10**9, -1, 0), (1, 10**9, 0), (0, 0, -(10**9))): [
-        ("-1000000000", "0", "1/365375409332725729550921208179070754913983135744", 1, True, None),
-        ("1000000000", "1", "1/365375409332725729550921208179070754913983135744", 1, False, 2),
-        ("1000000000", "-1", "1/365375409332725729550921208179070754913983135744", 1, False, 1),
-    ],
-    ((0, 1, 0), (0, 0, 1), (10**18, 0, 0)): [
-        ("1000000", "0", "1/42535295865117307932921825928971026432", 1, True, None),
-        ("-500000", "1097817622920238380819884895107772489/1267650600228229401496703205376",
-         "1/1267650600228229401496703205376", 1, False, 2),
-        ("-500000", "-1097817622920238380819884895107772489/1267650600228229401496703205376",
-         "1/1267650600228229401496703205376", 1, False, 1),
-    ],
+# Boxes of three summaries of matrices with entries 10^9 or 10^18 (chi_A has
+# coefficients beyond 2^53), each (re, im, radius, multiplicity, is_real,
+# partner), and the proposals each summary asked for: doubles suffice for
+# the third, the first two escalate to 128 bits.
+_LARGE_ENTRY_BOXES = {
+    ((10**9, 1, 0), (1, 10**9, 1), (0, 1, -(10**9))): ([None, 128], [
+        ("-79228162514264337633158031593132168797/79228162514264337593543950336",
+         "0", "1/79228162514264337593543950336", 1, True, None),
+        ("39614081217518087549543326689224887149/39614081257132168796771975168",
+         "0", "1/158456325028528675187087900672", 1, True, None),
+        ("158456325186985000255230657101364788997/158456325028528675187087900672",
+         "0", "1/79228162514264337593543950336", 1, True, None),
+    ]),
+    ((10**9, -1, 0), (1, 10**9, 0), (0, 0, -(10**9))): ([None, 128], [
+        ("-1000000000", "0", "1/340282366920938463463374607431768211456", 1, True, None),
+        ("1000000000", "1", "1/340282366920938463463374607431768211456", 1, False, 2),
+        ("1000000000", "-1", "1/340282366920938463463374607431768211456", 1, False, 1),
+    ]),
+    ((0, 1, 0), (0, 0, 1), (10**18, 0, 0)): ([None, None], [
+        ("1000000", "0", "1/18446744073709551616", 1, True, None),
+        ("-85070591730234615865843651857941984708142649/170141183460469231731687303715884105728",
+         "147346587106715120692043727842883656707694723/170141183460469231731687303715884105728",
+         "1/309485009821345068724781056", 1, False, 2),
+        ("-85070591730234615865843651857941984708142649/170141183460469231731687303715884105728",
+         "-147346587106715120692043727842883656707694723/170141183460469231731687303715884105728",
+         "1/309485009821345068724781056", 1, False, 1),
+    ]),
 }
 
 
-@pytest.mark.parametrize("rows", sorted(_MPMATH_SEEDED_BOXES))
-def test_mpmath_seeded_summary_boxes(monkeypatch, rows):
-    calls = []
-    mp_starts = spectra._complex_starts
-
-    def spy(p, dps, bits):
-        calls.append(dps)
-        return mp_starts(p, dps, bits)
-
-    monkeypatch.setattr(spectra, "_complex_starts", spy)
-    boxes = spectral_summary(IntMatrix(rows)).roots
-    assert calls
+@pytest.mark.parametrize("rows", sorted(_LARGE_ENTRY_BOXES))
+def test_large_entry_summary_boxes(monkeypatch, rows):
+    calls = _spy_proposals(monkeypatch)
+    summary = spectral_summary(IntMatrix(rows))
     got = [(str(b.center[0]), str(b.center[1]), str(b.radius), b.multiplicity, b.is_real,
-            b.conjugate_partner) for b in boxes]
-    assert got == _MPMATH_SEEDED_BOXES[rows]
+            b.conjugate_partner) for b in summary.roots]
+    assert (calls, got) == _LARGE_ENTRY_BOXES[rows]
+    _assert_isolates(summary.char_poly, summary.roots, dps=60)
+
+
+def test_escalation_certifies_with_mpmath_blocked(monkeypatch):
+    # no root start may come from mpmath: a clustered pair, coefficients
+    # past 2^1023 and roots 10^400 apart from 0 certify without it, and
+    # roots 2 apart at 10^400, past what doubles tell apart after scaling,
+    # leave a typed UNKNOWN
+    a = 10**9
+    polys = {
+        IntPoly((-2, 4 * a, -2 * a * a, 0, 0, 1)): 100,  # oracle digits
+        IntPoly((2**1100 + 1, 1, 1)): 400,
+        IntPoly((-(10**800), 0, 1)): 500,
+    }
+    with monkeypatch.context() as blocked:
+        blocked.setitem(sys.modules, "mpmath", None)
+        boxes = {p: isolate_roots(p, Fraction(1, 2**64)) for p in polys}
+        summaries = {rows: spectral_summary(IntMatrix(rows)) for rows in _LARGE_ENTRY_BOXES}
+        far = monodeg.classify_d1(IntMatrix(((10**400, 1), (1, 10**400))))
+    for p, dps in polys.items():
+        _assert_isolates(p, boxes[p], dps)
+    for rows, summary in summaries.items():
+        got = [(str(b.center[0]), str(b.center[1]), str(b.radius), b.multiplicity, b.is_real,
+                b.conjugate_partner) for b in summary.roots]
+        assert got == _LARGE_ENTRY_BOXES[rows][1]
+    assert (far.classification, far.details) == (
+        "UNKNOWN", {"unresolved": "root isolation did not converge"}
+    )
 
 
 @dataclass(frozen=True)
@@ -904,7 +955,7 @@ def _oracle_product_sf(p: IntPoly) -> IntPoly:
     """Squarefree part of Res_y(p(y), y^d p(z/y)), roots all root_i*root_j."""
     d = p.degree
     f_y = [IntPoly((c,)) for c in p.coeffs]
-    g_y = [IntPoly((0,) * (d - j) + (p.coeff(d - j),)) for j in range(d + 1)]
+    g_y = [IntPoly((0,) * (d - j) + (coeff(p, d - j),)) for j in range(d + 1)]
     return squarefree_part(sylvester_resultant_in_y(f_y, g_y))[0]
 
 

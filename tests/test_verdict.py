@@ -122,8 +122,7 @@ class TestClassifyD1:
     def test_isolation_failure_becomes_unknown(self, monkeypatch):
         import monodeg.spectra as spectra_mod
 
-        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p, bits=None: None)
         v = classify_d1(PAIR_2X2)
         assert v.classification == UNKNOWN
         assert "did not converge" in v.details["unresolved"]
@@ -184,8 +183,7 @@ class TestClassifyDual:
         # not unimodular still raises; a unimodular one gets an UNKNOWN dual
         import monodeg.spectra as spectra_mod
 
-        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p, bits=None: None)
         assert classify_d1(PAIR_2X2).summary is None
         with pytest.raises(NotUnimodular, match="determinant 3,"):
             classify_dual(PAIR_2X2)
@@ -384,8 +382,7 @@ class TestHeldSummary:
     def test_unresolved_raises_every_time(self, analyses, monkeypatch):
         import monodeg.spectra as spectra_mod
 
-        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p: None)
-        monkeypatch.setattr(spectra_mod, "_complex_starts", lambda p, dps, bits: None)
+        monkeypatch.setattr(spectra_mod, "_aberth_starts", lambda p, bits=None: None)
         for _ in range(2):
             with pytest.raises(UnresolvedCertification):
                 spectral_summary(PAIR_2X2)
