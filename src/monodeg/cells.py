@@ -13,8 +13,8 @@ cover the same range with minimal period at most floor(N/4) and two full
 periods observed.
 
 The degrees and cells come from the held power walk of
-:mod:`monodeg.degree`, which ``degree_sequence`` shares and a longer window
-on the same matrix extends.  The periodicity detector makes one backward
+:mod:`monodeg.degree`, which ``degree_sequence`` of the same matrix and
+length shares.  The periodicity detector makes one backward
 scan per period, stopping at the first mismatch: each period costs one
 comparison more than the length of its matching tail.
 """

@@ -12,13 +12,13 @@ branch), component j >= 1 picks the row whose negated entry is used in
 column j (again 0 for the constant-0 branch).
 
 The powers of a matrix are walked in one place, ``_power_cells``, one call
-per power of a multiplier compiled for the matrix; it holds the last walk,
-multiplier included, for the next call, and that is the module's only
-shared state.
+per power of a multiplier compiled for the matrix; the last walk is held in
+a one-entry ``functools.lru_cache``, the module's only shared state.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -89,12 +89,7 @@ def _rows_cell_and_degree(rows: Rows) -> tuple[tuple[int, ...], int, int]:
     return tuple(choices), count, total
 
 
-# The held walk: A's rows, the rows of A^m, the (choices, tie count,
-# degree) triples of A^1..A^m and A's compiled multiplier (None until the
-# walk makes its first product).  Replaced whole, never mutated.
-_walk: tuple = ((), (), (), None)
-
-
+@functools.lru_cache(maxsize=1)
 def _power_cells(
     a: IntMatrix, n: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -102,55 +97,34 @@ def _power_cells(
 
     This is the only walk over the powers: each power is one call of
     ``step``, the multiplier compiled for A (``exact._multiplier``), on the
-    previous power's rows, with no IntMatrix built per power.  One slot
-    holds the last walk: its matrix's rows, its last power, its per-power
-    results (not the earlier powers) and its ``step``.  Equal rows give
-    equal powers, and the results for n powers are a prefix of the results
-    for any m > n powers, so a call on a matrix with the held rows reads a
-    prefix of the slot or extends the walk from the last power held, with
-    the held ``step``; any other matrix replaces the slot.  ``step`` is
-    compiled at the walk's first product, so a one-power walk compiles
-    nothing.
+    previous power's rows, with no IntMatrix built per power.  The last walk
+    is held, keyed on A and n, so ``degree_sequence`` and ``cell_trace`` of
+    one matrix at one length share it; any other key walks from A again.
 
     The walk compiles a multiplier, and Le Verrier's k - 2 products call
     the general ``exact._product_rows``, because compiling costs about k^3
     (0.2 ms at k = 3, 3 ms at k = 10 and 19 ms at k = 20 on a 2-core Xeon
     VM, as much as a whole verdict at small k): a walk repays it within tens
-    of powers, and a few products never would.
-
-    The slot is replaced by one assignment of an immutable tuple, and
-    ``step`` is a pure function, so a concurrent caller sees either the old
-    walk or the new one, never half of an update; at worst a concurrent
-    walk is redone.  A singular A raises RankDeficient, checked only when
-    the slot is replaced, since a held slot holds rows that passed the
-    check.
+    of powers, and a few products never would.  A singular A raises
+    RankDeficient.
     """
-    global _walk
-    rows, power, results, step = _walk
-    if rows != a.rows:
-        if det(a) == 0:
-            raise RankDeficient("degree sequences and cell traces need a matrix of full rank")
-        rows, power, results, step = a.rows, (), (), None
-    if len(results) < n:
-        more = []
-        for _ in range(n - len(results)):
-            if power:
-                step = step or _multiplier(rows)
-                power = step(power)
-            else:
-                power = rows
-            more.append(_rows_cell_and_degree(power))
-        results += tuple(more)
-        _walk = (rows, power, results, step)
-    cells, ties, degrees = zip(*results[:n])
+    if det(a) == 0:
+        raise RankDeficient("degree sequences and cell traces need a matrix of full rank")
+    step = _multiplier(a.rows)
+    power = a.rows
+    results = [_rows_cell_and_degree(power)]
+    for _ in range(n - 1):
+        power = step(power)
+        results.append(_rows_cell_and_degree(power))
+    cells, ties, degrees = zip(*results)
     return degrees, cells, ties
 
 
 def degree_sequence(a: IntMatrix, n: int) -> DegreeSequence:
     """Degrees of the first n iterates, computed on exact matrix powers.
 
-    They come from the held power walk (``_power_cells``), which also yields
-    the cells and rejects a singular A; a full-rank matrix has no zero power.
+    They come from the power walk (``_power_cells``), which also yields the
+    cells and rejects a singular A; a full-rank matrix has no zero power.
     """
     if n < 1:
         raise ValueError("sequence length must be at least 1")

@@ -9,10 +9,12 @@ identities, and unimodular inverses from Cayley-Hamilton on the same powers
 of A.
 
 Values are immutable and operations are pure functions, so the module is safe
-for concurrent use.  The only shared state is the ``functools.cache`` memo of
-``orders_with_phi_at_most``: it maps a bound to an immutable tuple that is a
-pure function of the bound, so a fill repeated by a concurrent caller stores
-an equal value.  Matrix powers are walked in :mod:`monodeg.degree`,
+for concurrent use.  Its only shared state is the ``functools.cache`` memo
+of ``orders_with_phi_at_most``.  Like the one-entry caches that hold the
+last spectral summary (:mod:`monodeg.spectra`) and the last power walk
+(:mod:`monodeg.degree`), it maps its arguments to an immutable value that is
+a pure function of them, so a fill repeated by a concurrent caller stores an
+equal value.  Matrix powers are walked in :mod:`monodeg.degree`,
 one call per power of the multiplier ``_multiplier`` compiles for the
 matrix; ``_product_rows`` is the general product, for Le Verrier's few
 powers and as the tests' reference.
@@ -75,10 +77,6 @@ class IntPoly:
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: IntPoly) -> IntPoly:
@@ -96,27 +94,10 @@ class IntPoly:
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
 
-    def __mul__(self, other: IntPoly) -> IntPoly:
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
-
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> IntPoly:
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def sign_at(self, num: int, den: int) -> int:
         """Sign of p(num/den) for den > 0, computed in integers."""

@@ -45,7 +45,7 @@ class Recurrence:
 
     @classmethod
     def from_poly(cls, p: IntPoly, valid_from: int | None = None) -> Recurrence:
-        if not p.is_monic or p.degree < 1:
+        if p.lc != 1 or p.degree < 1:
             raise ValueError("recurrence polynomial must be monic of degree >= 1")
         return cls(tuple(Fraction(c) for c in p.coeffs[:-1]), valid_from)
 

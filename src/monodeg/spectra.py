@@ -52,16 +52,15 @@ configurable refinement cap, default radius 2^-256, beyond which they raise
 UnresolvedCertification rather than guess; so does isolation when no
 proposal yields starts that certify.
 
-The last summary computed is held for the next call: a call on equal rows
-with the same refinement cap reads it, so the forward and the dual verdict
-of one matrix run one analysis.  The summary is a pure function of the rows
-and the cap and immutable all the way down, the slot is replaced whole by
-one assignment, and failures are never held (spectral_summary).
+The last summary is held in a one-entry ``functools.lru_cache`` keyed on
+the matrix and the refinement cap, so the forward and the dual verdict of
+one matrix run one analysis (spectral_summary).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -544,9 +543,9 @@ def squarefree_part(p: IntPoly) -> tuple[IntPoly, tuple[tuple[IntPoly, int], ...
     if w.degree == 0:
         return IntPoly((1,)), ()
     g = poly_gcd(w, w.derivative())
-    sf = w.exact_div(g).primitive_positive()
-    factors: list[tuple[IntPoly, int]] = []
     c = w.exact_div(g)
+    sf = c.primitive_positive()
+    factors: list[tuple[IntPoly, int]] = []
     d_ = w.derivative().exact_div(g) - c.derivative()
     i = 1
     while c.degree > 0:
@@ -735,7 +734,7 @@ def _partition_by_modulus(
                 spans = own
                 break
             chain = _sturm_chain(_product_poly(p_sf))
-            one_is_root = chain[0].eval_int(1) == 0
+            one_is_root = chain[0].sign_at(1, 1) == 0
         spans = [_round_out(span, c) for span in own]
         bad = {
             i for i, (lo, hi, s) in enumerate(spans)
@@ -899,34 +898,25 @@ def _attribute_pair(
 
 # -- full summary -------------------------------------------------------------
 
-# The held summary: the rows and refinement cap of the last successful
-# analysis and its summary.  Replaced whole, never mutated.
-_held: tuple = ((), None, None)
-
-
 def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary:
     """Characteristic polynomial, certified root boxes with multiplicities,
     equal-modulus classes compared against 1, the dominant conjugate pair if
     there is one, and conjugate-ratio flags per root.  ``precision_bits``,
     the refinement cap exponent, must be nonnegative.
 
-    One slot holds the last summary computed, keyed on the matrix's rows and
-    the cap's value, so ``spectral_summary(a)`` and ``spectral_summary(a,
-    256)`` share it; a call with both equal returns the held summary, any
-    other computes one and replaces the slot.  That is sound: the summary is a pure function of the rows and
-    the cap, and it is immutable all the way down (frozen dataclasses,
-    tuples, Fraction, IntPoly), so two callers handed one object cannot see
-    each other's changes.  The slot is replaced by one assignment, so a
-    concurrent caller sees the old summary or the new one, never half of
-    each.  Exceptions are never held: a failing call raises again.
+    The last summary is held, keyed on the matrix and the cap's value, so
+    ``spectral_summary(a)`` and ``spectral_summary(a, 256)`` share it.  The
+    summary is a pure function of both and immutable all the way down
+    (frozen dataclasses, tuples, Fraction, IntPoly), so callers handed one
+    object cannot see each other's changes.  A failing call raises again.
     """
-    global _held
     if precision_bits < 0:
         raise ValueError(f"precision must be nonnegative, got {precision_bits}")
-    precision_bits = operator.index(precision_bits)
-    rows, bits, held = _held
-    if rows == a.rows and bits == precision_bits:
-        return held
+    return _summary(a, operator.index(precision_bits))
+
+
+@functools.lru_cache(maxsize=1)
+def _summary(a: IntMatrix, precision_bits: int) -> SpectralSummary:
     chi = char_poly(a)
     if chi.constant == 0:  # chi_A(0) = (-1)^k det A
         raise RankDeficient("spectral analysis needs a matrix of full rank")
@@ -955,15 +945,13 @@ def spectral_summary(a: IntMatrix, precision_bits: int = 256) -> SpectralSummary
 
     # refinement in the steps above only shrank boxes; snapshot them now
     boxes = _boxes_from_ordered(ordered)
-    summary = SpectralSummary(
+    return SpectralSummary(
         char_poly=chi,
         roots=boxes,
         modulus_classes=classes,
         dominant_pair=_dominant_pair(boxes, classes),
         ratio_flags=tuple(flags),
     )
-    _held = (a.rows, precision_bits, summary)
-    return summary
 
 
 def _dominant_pair(boxes, classes) -> tuple[int, int] | None:

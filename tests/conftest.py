@@ -5,9 +5,9 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from monodeg.degree import degree_sequence
+from monodeg.degree import _power_cells
 from monodeg.exact import IntMatrix, IntPoly
-from monodeg.spectra import spectral_summary
+from monodeg.spectra import _summary
 
 # 3x3 exponent matrix whose degree sequence provably has no linear recurrence
 # (dominant non-real eigenvalue pair with non-unity ratio); its inverse is the
@@ -32,22 +32,19 @@ def recurrence_poly(rec) -> IntPoly:
 
 
 def evict_summary():
-    """Replace the held spectral summary with one of a 1x1 matrix at a
-    refinement cap of 0, which no test draws, so that the next analysis
-    starts cold."""
-    spectral_summary(IntMatrix(((7,),)), 0)
+    """Empty the held spectral summary, so that the next analysis starts cold."""
+    _summary.cache_clear()
 
 
 def evict_walk():
-    """Replace the held power walk with one of a 1x1 matrix that no test
-    draws, so that the next walk starts cold."""
-    degree_sequence(IntMatrix(((7,),)), 1)
+    """Empty the held power walk, so that the next walk starts cold."""
+    _power_cells.cache_clear()
 
 
 @pytest.fixture(autouse=True)
-def cold_slots():
-    """Every test starts with a cold summary slot and a cold power walk: a
+def cold_caches():
+    """Every test starts with no held summary and no held power walk: a
     test that counts the work of an analysis or of a walk (its rank check
-    included) must not read a slot an earlier test left behind."""
+    included) must not read a result an earlier test left behind."""
     evict_summary()
     evict_walk()

@@ -26,23 +26,23 @@ These deliberately avoid the production code paths they check:
   rationals instead of the scaled Gaussian integers of spectra._Handle, and
   modsq_interval_oracle bounds |root|^2 from its Fraction centre and radius;
 * modulus_classes_oracle isolates every real root of the product polynomial
-  by Sturm bisection over Fractions and matches the handles' |root|^2
-  intervals against those records, instead of Sturm counts on the handles'
-  own dyadic spans;
+  by bisection with its own textbook Sturm sequence over Fractions and
+  matches the handles' |root|^2 intervals against those records, instead of
+  Sturm counts from spectra._sturm_chain on the handles' own dyadic spans;
 * modulus_ranking_oracle ranks 60-digit mpmath approximations of the
   eigenvalue moduli instead of certified |root|^2 spans;
 * unity_order_oracle raises 60-digit mpmath approximations of each
   conjugate ratio to every power m in turn instead of certifying disks
   around lambda^m.
 
-The small polynomial helpers (poly_from_roots, poly_pow, cyclotomic,
-eval_fraction, eval_gaussian, poly_at_matrix, coeff, reversal, divides)
-build test inputs and evaluate them exactly, functional_set and
-functional_value enumerate and evaluate the branch functionals of the
-degree formula, check_candidate verifies a monic polynomial as a recurrence,
-root_bound_pow2 bounds its roots by a power of two, and pair_flags_vs_oracle
-lines a summary's pair flags up against unity_order_oracle; the package has
-no use for them.
+The small polynomial helpers (poly_mul, poly_from_roots, poly_pow,
+cyclotomic, eval_int, eval_fraction, eval_gaussian, poly_at_matrix, coeff,
+reversal, divides, is_monic) build test inputs and evaluate them exactly,
+functional_set and functional_value enumerate and evaluate the branch
+functionals of the degree formula, check_candidate verifies a monic
+polynomial as a recurrence, root_bound_pow2 bounds its roots by a power of
+two, and pair_flags_vs_oracle lines a summary's pair flags up against
+unity_order_oracle; the package has no use for them.
 """
 
 from __future__ import annotations
@@ -173,6 +173,23 @@ def reversal(p: IntPoly) -> IntPoly:
     return IntPoly(tuple(reversed(p.coeffs)))
 
 
+def is_monic(p: IntPoly) -> bool:
+    """True when p's leading coefficient is 1."""
+    return p.lc == 1
+
+
+def poly_mul(*factors: IntPoly) -> IntPoly:
+    """The product of the factors (1 for none), by schoolbook convolution."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f.coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return IntPoly(out)
+
+
 def divides(a: IntPoly, b: IntPoly) -> bool:
     """True when the nonzero a divides b in Z[x]."""
     try:
@@ -186,7 +203,7 @@ def poly_from_roots(roots: list[int]) -> IntPoly:
     """Monic integer polynomial with the given (repeated) integer roots."""
     p = IntPoly((1,))
     for r in roots:
-        p = p * IntPoly((-r, 1))
+        p = poly_mul(p, IntPoly((-r, 1)))
     return p
 
 
@@ -194,7 +211,7 @@ def poly_pow(p: IntPoly, n: int) -> IntPoly:
     """p^n by repeated multiplication, n >= 0."""
     result = IntPoly((1,))
     for _ in range(n):
-        result = result * p
+        result = poly_mul(result, p)
     return result
 
 
@@ -215,10 +232,22 @@ def cyclotomic(m: int) -> IntPoly:
     return phis[m]
 
 
+def eval_int(p: IntPoly, x: int) -> int:
+    """p(x) at an integer x (Horner)."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def eval_fraction(p: IntPoly, x: Fraction) -> Fraction:
     """p(x) in exact rationals (Horner)."""
+    return _horner(p.coeffs, x)
+
+
+def _horner(coeffs, x: Fraction) -> Fraction:
     acc = Fraction(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
@@ -237,7 +266,7 @@ def poly_at_matrix(p: IntPoly, a: IntMatrix) -> IntMatrix:
 
 def check_candidate(seq: list[int], p: IntPoly) -> int | None:
     """Treat a monic integer polynomial as a recurrence and verify it."""
-    if not p.is_monic or p.degree < 1:
+    if not is_monic(p) or p.degree < 1:
         raise ValueError("candidate polynomial must be monic of degree >= 1")
     if len(seq) < p.degree + 2:
         raise ValueError("sequence too short for this candidate")
@@ -317,7 +346,7 @@ def _bareiss_det_poly(rows: list[list[IntPoly]]) -> IntPoly:
         pivot = m[r][r]
         for i in range(r + 1, n):
             for j in range(r + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][r] * m[r][j]).exact_div(prev)
+                m[i][j] = (poly_mul(pivot, m[i][j]) - poly_mul(m[i][r], m[r][j])).exact_div(prev)
             m[i][r] = IntPoly()
         prev = pivot
     result = m[n - 1][n - 1]
@@ -581,8 +610,30 @@ def root_bound_pow2(p: IntPoly) -> int:
     return 1 << (e + 1)
 
 
-def _variations(chain: list[IntPoly], x: Fraction) -> int:
-    signs = [s for s in (q.sign_at(x.numerator, x.denominator) for q in chain) if s]
+def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The remainder of a on division by b over Q, coefficients ascending
+    with no trailing zeros."""
+    a = list(a)
+    while len(a) >= len(b):
+        q, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _sturm_sequence(p: IntPoly) -> list[list[Fraction]]:
+    """The textbook Sturm sequence of p over Q: p_0 = p, p_1 = p' and
+    p_(i+1) = -rem(p_(i-1), p_i) until the remainder vanishes."""
+    chain = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
+    while r := _rem(chain[-2], chain[-1]):
+        chain.append([-c for c in r])
+    return chain
+
+
+def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
+    signs = [v > 0 for v in (_horner(q, x) for q in chain) if v]
     return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
@@ -614,11 +665,9 @@ class _RealRoot:
 def _isolate_real_roots(p: IntPoly) -> list[_RealRoot]:
     """Disjoint records, one per real root of the squarefree polynomial p, by
     Sturm bisection of [-B, B] over Fractions."""
-    from monodeg.spectra import _sturm_chain
-
     if p.degree < 1:
         return []
-    chain = _sturm_chain(p)
+    chain = _sturm_sequence(p)
     bound = root_bound_pow2(p)
     while p.sign_at(-bound, 1) == 0 or p.sign_at(bound, 1) == 0:
         bound <<= 1
@@ -670,7 +719,7 @@ def modulus_classes_oracle(handles: list, p_sf: IntPoly, cap_bits: int = 256) ->
     _pin_real_signs(handles, cap_bits + 64)
     q_sf, _ = squarefree_part(_product_poly(p_sf))
     records = _isolate_real_roots(q_sf)
-    if q_sf.eval_int(1) == 0:  # pin the root 1 exactly
+    if eval_int(q_sf, 1) == 0:  # pin the root 1 exactly
         for rec in records:
             a, b = rec.span()
             if a <= 1 <= b:

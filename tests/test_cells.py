@@ -131,8 +131,8 @@ class TestCellTrace:
 
 @pytest.fixture
 def walk_products(monkeypatch):
-    """Counters of the held walk's work from a cold slot: [0] counts the
-    power products (calls of the compiled multiplier), [1] the multipliers
+    """Counters of the walks' work from no held walk: [0] counts the power
+    products (calls of the compiled multiplier), [1] the multipliers
     compiled.  Products made elsewhere (the powers behind char_poly) are not
     counted."""
     evict_walk()
@@ -154,7 +154,7 @@ def walk_products(monkeypatch):
 
 @pytest.fixture
 def rank_checks(monkeypatch):
-    """Counter of the full-rank checks (det calls) the held walk makes."""
+    """Counter of the full-rank checks (det calls) the walks make."""
     count = [0]
 
     def counted(a):
@@ -174,21 +174,22 @@ class TestHeldWalk:
         assert seq.terms == trace.degrees
         assert trace.degrees == tuple(degree(mat_pow(a, n)) for n in range(1, 61))
 
-    def test_longer_window_extends_the_walk(self, walk_products):
+    def test_longer_window_walks_from_a(self, walk_products):
+        # the walk is held for one matrix and one length: a longer window
+        # starts again from A, and its first powers agree with the shorter's
         a = random_rank_matrix(random.Random(42), 5, -3, 3)
         short = cell_trace(a, 30)
-        extended = cell_trace(a, 60)
-        assert walk_products[0] == 59
-        evict_walk()
-        assert extended == cell_trace(a, 60)
-        assert walk_products[0] == 59 + 59
-        assert short.degrees == extended.degrees[:30]
+        longer = cell_trace(a, 60)
+        assert walk_products == [29 + 59, 2]
+        assert short.degrees == longer.degrees[:30]
+        assert short.representatives == longer.representatives[:30]
 
-    def test_shorter_window_reads_a_prefix(self, walk_products):
+    def test_shorter_window_walks_from_a(self, walk_products):
         a = random_rank_matrix(random.Random(43), 3, -3, 3)
-        cell_trace(a, 50)
+        longer = cell_trace(a, 50)
         short = cell_trace(a, 20)
-        assert walk_products[0] == 49
+        assert walk_products == [49 + 19, 2]
+        assert short.tie_counts == longer.tie_counts[:20]
         evict_walk()
         assert short == cell_trace(a, 20)
 
@@ -211,19 +212,18 @@ class TestHeldWalk:
         assert cell_trace(twin, 50) == first
         assert walk_products[0] == 49
 
-    def test_one_compile_per_slot_replacement(self, walk_products):
+    def test_one_compile_per_walk(self, walk_products):
         rng = random.Random(49)
         a, b = random_rank_matrix(rng, 4, -3, 3), random_rank_matrix(rng, 3, -3, 3)
         cell_trace(a, 30)
         assert walk_products == [29, 1]
-        degree_sequence(a, 60)  # extension
-        degree_sequence(a, 10)  # prefix read
-        assert walk_products == [59, 1]
-        evict_walk()  # a one-power walk makes no product and compiles nothing
-        assert walk_products == [59, 1]
+        degree_sequence(a, 30)  # the held walk
+        assert walk_products == [29, 1]
+        degree_sequence(a, 60)
+        assert walk_products == [29 + 59, 2]
         cell_trace(b, 20)
         cell_trace(a, 20)
-        assert walk_products == [59 + 19 + 19, 3]
+        assert walk_products == [29 + 59 + 19 + 19, 4]
 
     def test_dual_sequence_walks_the_inverse(self, walk_products):
         forward = degree_sequence(NO_RECURRENCE_3X3, 30)
@@ -235,27 +235,27 @@ class TestHeldWalk:
         assert degree_sequence(NO_RECURRENCE_3X3, 30) == forward
         assert walk_products[0] == 3 * 29
 
-    def test_analyze_doubled_window_extends_the_walk(self, walk_products, rank_checks):
+    def test_analyze_doubled_window_walks_from_a(self, walk_products, rank_checks):
         # the one matrix of the benchmark's analyze pool whose cross check
-        # retries on the doubled window (108 -> 216 powers): a cold walk of
-        # 108 makes 107 products, and its extension to 216 makes 108 more;
-        # the extension runs no second rank check and compiles no second
-        # multiplier
+        # retries on the doubled window (108 -> 216 powers): the walk of
+        # 108 makes 107 products and the doubled one 215 more, each with
+        # its own rank check and multiplier
         buf = io.StringIO()
         assert run(["analyze", "-m", "[[-1,-3,-2],[-2,-2,2],[-2,-1,3]]"], out=buf) == EXIT_OK
-        assert walk_products == [215, 1]
-        assert rank_checks[0] == 1
+        assert walk_products == [107 + 215, 2]
+        assert rank_checks[0] == 2
 
     def test_one_rank_check_per_walk(self, walk_products, rank_checks):
         # degrees and cells of one matrix, as a power-stream op asks for
-        # them, then a longer window: the check runs when the slot is replaced
+        # them, share one walk and one check; a longer window is a new walk
         a = random_rank_matrix(random.Random(47), 4, -3, 3)
         degree_sequence(a, 60)
         cell_trace(a, 60)
-        cell_trace(a, 120)
         assert rank_checks[0] == 1
-        degree_sequence(TRIBONACCI_COMPANION, 10)
+        cell_trace(a, 120)
         assert rank_checks[0] == 2
+        degree_sequence(TRIBONACCI_COMPANION, 10)
+        assert rank_checks[0] == 3
 
     def test_singular_matrix_raises_every_time_and_leaves_the_walk(
         self, walk_products, rank_checks
@@ -272,7 +272,7 @@ class TestHeldWalk:
 
 def test_concurrent_callers_see_whole_walks():
     # more threads than cores and a short switch interval, so that callers
-    # interleave inside the walk; a half-updated slot would give a wrong answer
+    # interleave inside the walk; a half-updated walk would give a wrong answer
     rng = random.Random(46)
     mats = [random_rank_matrix(rng, k, -3, 3) for k in (3, 4, 4, 5)]
     calls = [(m, n) for n in (20, 45, 70) for m in mats]

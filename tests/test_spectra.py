@@ -50,6 +50,7 @@ from oracles import (
     modulus_ranking_oracle,
     pair_flags_vs_oracle,
     polyroots_oracle,
+    poly_mul,
     poly_pow,
     random_rank_matrix,
     root_bound_pow2,
@@ -90,11 +91,9 @@ class TestSquarefreePart:
         for _ in range(20):
             f1 = IntPoly((rng.randint(-3, 3), 1))
             f2 = IntPoly((rng.randint(-3, 3), rng.randint(-3, 3), 1))
-            p = f1 * f1 * f2
+            p = poly_mul(f1, f1, f2)
             sf, factors = squarefree_part(p)
-            rebuilt = IntPoly((1,))
-            for f, m in factors:
-                rebuilt = rebuilt * poly_pow(f, m)
+            rebuilt = poly_mul(*(poly_pow(f, m) for f, m in factors))
             assert rebuilt == p.primitive_positive()
 
 
@@ -413,7 +412,7 @@ class TestProposers:
     def test_far_pair_and_small_real_root(self):
         x = IntPoly((0, 1))
         shifted = x - IntPoly((2**20,))
-        p = (shifted * shifted + IntPoly((1,))) * (x - IntPoly((3,)))
+        p = poly_mul(poly_mul(shifted, shifted) + IntPoly((1,)), x - IntPoly((3,)))
         _assert_isolates(p, isolate_roots(p, Fraction(1, 2**64)))
 
     def test_no_proposer_is_unresolved(self, monkeypatch):
@@ -588,8 +587,9 @@ def test_large_entry_summary_boxes(monkeypatch, rows):
 def test_escalation_certifies_with_mpmath_blocked(monkeypatch):
     # no root start may come from mpmath: a clustered pair, coefficients
     # past 2^1023 and roots 10^400 apart from 0 certify without it, and
-    # roots 2 apart at 10^400, past what doubles tell apart after scaling,
-    # leave a typed UNKNOWN
+    # roots 2 apart at 10^400 leave a typed UNKNOWN: on that double cluster
+    # Aberth's iteration converges only linearly and stops at its step cap
+    # with the two approximations still 2^-201 apart at every precision
     a = 10**9
     polys = {
         IntPoly((-2, 4 * a, -2 * a * a, 0, 0, 1)): 100,  # oracle digits
@@ -667,7 +667,7 @@ class TestModulusClasses:
 
     def test_real_pair_with_equal_modulus(self):
         # roots 2 and -2 share a modulus class; root 3 is alone
-        p = IntPoly((-2, 1)) * IntPoly((2, 1)) * IntPoly((-3, 1))
+        p = poly_mul(IntPoly((-2, 1)), IntPoly((2, 1)), IntPoly((-3, 1)))
         mc = modulus_classes(p)
         sizes = sorted(len(c.indices) for c in mc.classes)
         assert sizes == [1, 2]
@@ -680,7 +680,7 @@ class TestModulusClasses:
 
     def test_mixed_gt_eq_lt(self):
         # (t - 2)(t^2 + 1)(2t - 1): moduli 2, 1, 1/2
-        p = IntPoly((-2, 1)) * IntPoly((1, 0, 1)) * IntPoly((-1, 2))
+        p = poly_mul(IntPoly((-2, 1)), IntPoly((1, 0, 1)), IntPoly((-1, 2)))
         mc = modulus_classes(p)
         assert [c.versus_one for c in mc.classes] == [GT, EQ, LT]
         assert [len(c.indices) for c in mc.classes] == [1, 2, 1]
@@ -704,9 +704,8 @@ class TestModulusClasses:
 # span endpoint compares exactly with every root
 _STURM_RATIONAL = [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(9, 4),
                    Fraction(4)]
-_STURM_Q = IntPoly((-2, 0, 1))
-for _r in _STURM_RATIONAL:
-    _STURM_Q = _STURM_Q * IntPoly((-_r.numerator, _r.denominator))
+_STURM_Q = poly_mul(IntPoly((-2, 0, 1)), *(IntPoly((-r.numerator, r.denominator))
+                                            for r in _STURM_RATIONAL))
 
 
 def _roots_in(lo: int, hi: int, s: int) -> int:
@@ -770,18 +769,18 @@ def _modulus_cases():
     x = IntPoly((0, 1))
     cases = []
     for r in (1, 2, 3, 5):
-        cases.append((x - IntPoly((r,))) * (x + IntPoly((r,))))
-        cases.append((x * x + IntPoly((r * r,))) * (x - IntPoly((r,))))
-    cases.append(IntPoly((-1, 2)) * IntPoly((1, 2)))  # +-1/2
+        cases.append(poly_mul(x - IntPoly((r,)), x + IntPoly((r,))))
+        cases.append(poly_mul(IntPoly((r * r, 0, 1)), x - IntPoly((r,))))
+    cases.append(poly_mul(IntPoly((-1, 2)), IntPoly((1, 2))))  # +-1/2
     for m in range(1, 7):
         for c in (1, 2, 3):
             cases.append(IntPoly((-c,) + (0,) * (m - 1) + (1,)))
             cases.append(IntPoly((c,) + (0,) * (m - 1) + (1,)))
     for a, b in [(1, 2), (3, 4), (5, 6), (1, 8), (2, 12), (7, 9), (10, 5)]:
-        cases.append(cyclotomic(a) * cyclotomic(b))
+        cases.append(poly_mul(cyclotomic(a), cyclotomic(b)))
     for scale in (100, 10**4, 10**9):
         cluster = IntPoly((-1, scale))
-        cases.append(IntPoly((0, 0, 0, 0, 0, 1)) - IntPoly((2,)) * cluster * cluster)
+        cases.append(IntPoly((0, 0, 0, 0, 0, 1)) - poly_mul(IntPoly((2,)), cluster, cluster))
     return cases
 
 
@@ -790,15 +789,13 @@ def _random_modulus_products(n: int, seed: int):
     rng = random.Random(seed)
     factors = (
         [x - IntPoly((r,)) for r in (-3, -2, -1, 1, 2, 3)]
-        + [x * x + IntPoly((r * r,)) for r in (1, 2, 3)]
+        + [IntPoly((r * r, 0, 1)) for r in (1, 2, 3)]
         + [IntPoly((c,) + (0,) * (m - 1) + (1,)) for m in (2, 3, 4) for c in (-2, -1, 1, 2)]
         + [cyclotomic(m) for m in (3, 4, 5, 6, 8, 12)]
     )
     out = []
     while len(out) < n:
-        p = IntPoly((1,))
-        for f in rng.sample(factors, rng.randint(2, 3)):
-            p = p * f
+        p = poly_mul(*rng.sample(factors, rng.randint(2, 3)))
         if poly_gcd(p, p.derivative()).degree == 0:
             out.append(p)
     return out
@@ -823,13 +820,13 @@ class TestModulusPartitionOracle:
     def test_touching_spans_of_different_moduli_stay_apart(self):
         # moduli 2 and sqrt(2051/512) = 2.0015: at 2^-8 the |.|^2 spans of
         # the pair and of the real roots meet at 4 + 2^-8
-        got = self._check(IntPoly((4, 1, 1)) * IntPoly((-2051, 0, 512)))
+        got = self._check(poly_mul(IntPoly((4, 1, 1)), IntPoly((-2051, 0, 512))))
         assert [(len(c.indices), c.versus_one) for c in got] == [(2, GT), (1, GT)]
 
     def test_equal_moduli_and_unit_modulus(self):
         x = IntPoly((0, 1))
         # (x - 2)(x + 2)(x^2 + 4)(x^2 + 1): moduli 2 (four roots) and 1
-        p = (x - IntPoly((2,))) * (x + IntPoly((2,))) * IntPoly((4, 0, 1)) * IntPoly((1, 0, 1))
+        p = poly_mul(x - IntPoly((2,)), x + IntPoly((2,)), IntPoly((4, 0, 1)), IntPoly((1, 0, 1)))
         got = self._check(p)
         assert [c.versus_one for c in got] == [GT, EQ]
         assert [len(c.indices) for c in got] == [3, 1]  # handle indices: pairs count once
@@ -869,8 +866,10 @@ class TestProductPolynomialOnDemand:
     def test_equal_moduli_build_it(self, monkeypatch):
         calls = _spy_product_poly(monkeypatch)
         x = IntPoly((0, 1))
-        four = (x - IntPoly((2,))) * (x + IntPoly((2,))) * IntPoly((4, 0, 1)) * IntPoly((1, 0, 1))
-        touching = IntPoly((4, 1, 1)) * IntPoly((-2051, 0, 512))
+        four = poly_mul(
+            x - IntPoly((2,)), x + IntPoly((2,)), IntPoly((4, 0, 1)), IntPoly((1, 0, 1))
+        )
+        touching = poly_mul(IntPoly((4, 1, 1)), IntPoly((-2051, 0, 512)))
         for n, p in enumerate((four, touching), start=1):
             spectra._partition_by_modulus(_ordered_handles(p), p, 256)
             assert len(calls) == n
@@ -885,7 +884,7 @@ class TestProductPolynomialOnDemand:
         (IntPoly((-101, 100)), (1,), [((0,), GT)]),
         # the roots -2.01 and 2, started at -2 and 2: the span of the first
         # holds the point span of the exact second, the moduli differ
-        (IntPoly((-2, 1)) * IntPoly((201, 100)), (-2, 2), [((0,), GT), ((1,), GT)]),
+        (poly_mul(IntPoly((-2, 1)), IntPoly((201, 100))), (-2, 2), [((0,), GT), ((1,), GT)]),
     ])
     def test_coarse_spans_build_it(self, monkeypatch, p, starts, expected):
         def coarse():  # real handles at 8 bits: spans as wide as the Newton radius
@@ -986,10 +985,7 @@ class TestPowerSumConstructionOracle:
     def test_unit_roots(self):
         # roots +1 and -1, alone and next to non-unit roots
         for roots in ([1], [-1], [1, -1], [1, 1, 2], [-1, 3, -3], [1, -1, 2, -2]):
-            p = IntPoly((1,))
-            for r in roots:
-                p = p * IntPoly((-r, 1))
-            _assert_matches_oracle(p)
+            _assert_matches_oracle(poly_mul(*(IntPoly((-r, 1)) for r in roots)))
 
     def test_char_polys(self):
         rng = random.Random(61)
@@ -1009,10 +1005,7 @@ class TestPowerSumConstructionOracle:
 
 
 def _product(*factors) -> IntPoly:
-    p = IntPoly((1,))
-    for f in factors:
-        p = p * IntPoly(f)
-    return p
+    return poly_mul(*map(IntPoly, factors))
 
 
 # Quadratic (or cyclotomic) factors, each with the order of its roots'
@@ -1047,7 +1040,7 @@ def _seeded_pair_product(rng: random.Random, k: int) -> IntPoly:
     that is a root of unity of order 2, 3, 4 or 6."""
     p = IntPoly((rng.choice([-3, -2, -1, 1, 2, 3]), 1)) if k % 2 else IntPoly((1,))
     for _ in range(k // 2):
-        p = p * IntPoly((rng.randint(1, 5), rng.randint(-3, 3), 1))
+        p = poly_mul(p, IntPoly((rng.randint(1, 5), rng.randint(-3, 3), 1)))
     return p
 
 

@@ -325,7 +325,7 @@ class TestDominantPairIsAmongModulusGeOne:
 @pytest.fixture
 def analyses(monkeypatch):
     """Counter of the spectral analyses that run (char_poly calls inside
-    spectra), from a cold slot."""
+    spectra), from no held summary."""
     import monodeg.spectra as spectra_mod
 
     count = [0]
@@ -376,7 +376,7 @@ class TestHeldSummary:
             with pytest.raises(RankDeficient):
                 spectral_summary(singular)
         assert analyses[0] == 3
-        assert spectral_summary(PAIR_2X2) is warm  # a failure leaves the slot
+        assert spectral_summary(PAIR_2X2) is warm  # a failure leaves the held summary
         assert analyses[0] == 3
 
     def test_unresolved_raises_every_time(self, analyses, monkeypatch):
@@ -419,7 +419,7 @@ class TestHeldSummary:
 
 def test_concurrent_callers_see_whole_summaries():
     # a short switch interval, so that callers interleave inside the analysis;
-    # a half-updated slot would hand one caller another matrix's summary
+    # a half-updated cache would hand one caller another matrix's summary
     rng = random.Random(107)
     mats = [random_unimodular(rng, k) for k in (3, 4, 4, 5)]
     calls = [(m, bits) for bits in (128, 256) for m in mats]
